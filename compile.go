@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -161,68 +162,23 @@ func (e *Engine) Compile(s *Schema, opts ...CompileOption) (*CompiledSchema, err
 func compiledInterner(cs ...*CompiledSchema) func(*xmltree.Node) *core.Interned {
 	m := make(map[*xmltree.Node]*core.Interned, len(cs))
 	for _, c := range cs {
-		if c != nil {
-			m[c.art.Root] = c.art.Interned
-		}
+		m[c.art.Root] = c.art.Interned
 	}
 	return func(root *xmltree.Node) *core.Interned { return m[root] }
-}
-
-// installInterner wires a compiled-vocabulary lookup into an algorithm
-// instance when it supports the fast path (the hybrid matcher does; the
-// baselines have no intern phase to skip).
-func installInterner(alg any, f func(*xmltree.Node) *core.Interned) {
-	if si, ok := alg.(interface {
-		SetInterner(func(*xmltree.Node) *core.Interned)
-	}); ok {
-		si.SetInterner(f)
-	}
 }
 
 // MatchCompiled is Match over compiled schemas: the match starts directly
 // at the pair-table phase, reusing each side's precompiled vocabulary.
 // The Report is bit-identical to Match(src.Schema(), tgt.Schema()).
 func (e *Engine) MatchCompiled(src, tgt *CompiledSchema) *Report {
-	alg, release := e.algorithm(e.parallelism)
-	defer release()
-	installInterner(alg, compiledInterner(src, tgt))
-	rep := e.run(context.Background(), alg, src.schema, tgt.schema)
-	e.attachRematchState(rep, alg, src, tgt)
-	return rep
+	report, _ := e.match(context.Background(), src.schema, tgt.schema, src, tgt)
+	return report
 }
 
 // MatchCompiledContext is MatchContext over compiled schemas; see
 // MatchContext for the cancellation contract.
 func (e *Engine) MatchCompiledContext(ctx context.Context, src, tgt *CompiledSchema) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	alg, release := e.algorithm(e.parallelism)
-	defer release()
-	if ds, ok := alg.(interface{ SetDone(<-chan struct{}) }); ok {
-		ds.SetDone(ctx.Done())
-	}
-	installInterner(alg, compiledInterner(src, tgt))
-	report := e.run(ctx, alg, src.schema, tgt.schema)
-	if ctx.Err() == nil {
-		e.attachRematchState(report, alg, src, tgt)
-	}
-	return report, ctx.Err()
-}
-
-// MatchAllCompiled is MatchAll over compiled schemas: every worker skips
-// the intern phase for every pair. Reports are bit-identical to MatchAll
-// over the corresponding Schema values.
-func (e *Engine) MatchAllCompiled(ctx context.Context, sources, targets []*CompiledSchema) ([][]*Report, error) {
-	srcs := make([]*Schema, len(sources))
-	for i, c := range sources {
-		srcs[i] = c.schema
-	}
-	tgts := make([]*Schema, len(targets))
-	for i, c := range targets {
-		tgts[i] = c.schema
-	}
-	return e.matchAll(ctx, srcs, tgts, compiledInterner(append(sources[:len(sources):len(sources)], targets...)...))
+	return e.match(ctx, src.schema, tgt.schema, src, tgt)
 }
 
 // RankCompiled is the corpus search: the vocabulary-overlap prefilter
@@ -247,12 +203,10 @@ func (e *Engine) RankCompiled(ctx context.Context, query *CompiledSchema, corpus
 		sub[i] = corpus[ci].schema
 		compiled = append(compiled, corpus[ci])
 	}
-	out, err := e.rank(ctx, query.schema, sub, compiledInterner(compiled...))
+	rows, err := e.matchAll(ctx, []*Schema{query.schema}, sub, compiledInterner(compiled...), "rank",
+		slog.String("query", query.Name()), slog.Int("corpus", len(corpus)))
 	if err != nil {
 		return nil, err
 	}
-	for i := range out {
-		out[i].Index = keep[out[i].Index]
-	}
-	return out, nil
+	return ranked(rows[0], sub, keep), nil
 }

@@ -107,35 +107,6 @@ func TestCompiledMatchContextEquivalence(t *testing.T) {
 	}
 }
 
-func TestMatchAllCompiledEquivalence(t *testing.T) {
-	eng, err := qmatch.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	trees := []*qmatch.Schema{
-		qmatch.FromTree(dataset.PO1()),
-		qmatch.FromTree(dataset.PO2()),
-		qmatch.FromTree(dataset.Book()),
-	}
-	compiled := make([]*qmatch.CompiledSchema, len(trees))
-	for i, s := range trees {
-		if compiled[i], err = qmatch.Compile(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plain, err := eng.MatchAll(context.Background(), trees, trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := eng.MatchAllCompiled(context.Background(), compiled, compiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, fast) {
-		t.Error("MatchAllCompiled reports differ from MatchAll")
-	}
-}
-
 // rankCorpus builds a small heterogeneous corpus around the PO query.
 func rankCorpus(t *testing.T) (*qmatch.Schema, []*qmatch.Schema) {
 	t.Helper()

@@ -68,34 +68,6 @@ type engineMetrics struct {
 	phaseDur  map[obs.Phase]*obs.Histogram
 }
 
-// CacheStats is a snapshot of the Engine's shared label-score cache: the
-// cross-match memo that scores each unique label pair once per Engine
-// lifetime. Hits+Misses counts lookups during kernel fills; Entries is the
-// resident pair count; Evictions counts entries dropped to honor the
-// WithLabelCacheSize bound.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Entries   int64 `json:"entries"`
-	Evictions int64 `json:"evictions"`
-}
-
-// CacheStats returns the current label-score cache counters. Safe to call
-// concurrently with matching; the snapshot may lag in-flight fills.
-//
-// Deprecated: the cache counters now live in the Engine's metrics registry
-// under the qmatch_label_cache_* names — read them with MetricValue, or
-// scrape the whole registry with WriteMetrics / WriteMetricsJSON /
-// PublishExpvar. CacheStats remains as a thin view over those registry
-// entries.
-func (e *Engine) CacheStats() CacheStats {
-	hits, _ := e.metrics.Value(MetricCacheHits)
-	misses, _ := e.metrics.Value(MetricCacheMisses)
-	entries, _ := e.metrics.Value(MetricCacheEntries)
-	evictions, _ := e.metrics.Value(MetricCacheEvictions)
-	return CacheStats{Hits: hits, Misses: misses, Entries: entries, Evictions: evictions}
-}
-
 // NewEngine compiles the options into a reusable, goroutine-safe Engine.
 // It returns an error for option sets the matchers cannot interpret:
 // an unknown algorithm, weights with a negative component or all
@@ -126,7 +98,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	}
 	// The label-score cache counters are folded into the registry as
 	// pull-style gauges: evaluated only when the registry is read, so the
-	// cache hot path is untouched. CacheStats reads these same entries.
+	// cache hot path is untouched.
 	labels := e.labels
 	e.metrics.GaugeFunc(MetricCacheHits, func() int64 { return labels.Stats().Hits })
 	e.metrics.GaugeFunc(MetricCacheMisses, func() int64 { return labels.Stats().Misses })
@@ -201,11 +173,15 @@ func (e *Engine) Algorithm() Algorithm { return e.cfg.alg }
 func (e *Engine) Parallelism() int { return e.parallelism }
 
 // algorithm builds one single-goroutine matcher instance over the shared
-// thesaurus, borrowing a warm NameMatcher from the pool. inner bounds the
-// pair-table worker pool of the hybrid matcher. The returned release
-// function gives the NameMatcher back; the matcher must not be used after
-// release.
-func (e *Engine) algorithm(inner int) (match.Algorithm, func()) {
+// thesaurus, borrowing a warm NameMatcher from the pool, and wires it for
+// one call: inner bounds the hybrid pair-table worker pool, ctx's Done
+// channel aborts in-flight fills, and interner (nil interns at match
+// entry) serves compiled vocabularies. For the hybrid algorithm h is the
+// same instance as alg, typed — the handle the match path writes its
+// trace into and drops memoized tables through; the baselines return a
+// nil h. The release function gives the NameMatcher back; the matcher
+// must not be used after release.
+func (e *Engine) algorithm(ctx context.Context, inner int, interner func(*xmltree.Node) *core.Interned) (alg match.Algorithm, h *core.Hybrid, release func()) {
 	switch e.cfg.alg {
 	case Linguistic:
 		m := linguistic.New(e.thesaurus)
@@ -213,23 +189,24 @@ func (e *Engine) algorithm(inner int) (match.Algorithm, func()) {
 		if e.cfg.selectionThreshold != nil {
 			m.SelectionThreshold = *e.cfg.selectionThreshold
 		}
-		return m, func() { e.names.Put(m.Names) }
+		return m, nil, func() { e.names.Put(m.Names) }
 	case Structural:
 		m := structural.New()
 		if e.cfg.selectionThreshold != nil {
 			m.SelectionThreshold = *e.cfg.selectionThreshold
 		}
-		return m, func() {}
+		return m, nil, func() {}
 	case Cupid:
 		m := cupid.New(e.thesaurus)
 		m.Names = e.names.Get()
 		if e.cfg.selectionThreshold != nil {
 			m.SelectionThreshold = *e.cfg.selectionThreshold
 		}
-		return m, func() { e.names.Put(m.Names) }
+		return m, nil, func() { e.names.Put(m.Names) }
 	default:
 		h, release := e.hybrid(inner)
-		return h, release
+		h.Done, h.Interner = ctx.Done(), interner
+		return h, h, release
 	}
 }
 
@@ -285,9 +262,32 @@ func reportFrom(alg match.Algorithm, src, tgt *Schema) *Report {
 // parallelizes its QoM pair-table computation up to the engine's
 // parallelism (hybrid algorithm only).
 func (e *Engine) Match(src, tgt *Schema) *Report {
-	alg, release := e.algorithm(e.parallelism)
+	report, _ := e.match(context.Background(), src, tgt, nil, nil)
+	return report
+}
+
+// match is the one single-pair path: Match, MatchContext, MatchCompiled and
+// MatchCompiledContext all run through it. ctx's Done channel aborts the
+// pair-table fill; on cancellation the partial report comes back with
+// ctx.Err(). csrc and ctgt are the compiled forms of src and tgt on the
+// compiled path (nil on the parse path): the match reuses their
+// vocabularies, and on a WithRematchState Engine a complete match keeps
+// its pair table on the report.
+func (e *Engine) match(ctx context.Context, src, tgt *Schema, csrc, ctgt *CompiledSchema) (*Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var interner func(*xmltree.Node) *core.Interned
+	if csrc != nil {
+		interner = compiledInterner(csrc, ctgt)
+	}
+	alg, h, release := e.algorithm(ctx, e.parallelism, interner)
 	defer release()
-	return e.run(context.Background(), alg, src, tgt)
+	report := e.run(ctx, alg, h, src, tgt)
+	if csrc != nil && ctx.Err() == nil {
+		e.attachRematchState(report, h, csrc, ctgt)
+	}
+	return report, ctx.Err()
 }
 
 // observing reports whether any instrumentation is enabled; when false the
@@ -299,13 +299,14 @@ func (e *Engine) observing() bool {
 // run executes one match through the engine's instrumentation. With no
 // observer configured it reduces to reportFrom — one boolean check, zero
 // extra allocations. ctx carries correlation only (trace/request IDs, the
-// phase cell and trace sink of qmatchd's debug plane); cancellation is
-// wired separately through SetDone by the callers that support it.
-func (e *Engine) run(ctx context.Context, alg match.Algorithm, src, tgt *Schema) *Report {
+// phase cell and trace sink of qmatchd's debug plane); cancellation was
+// wired into the matcher when algorithm borrowed it. h is alg's hybrid
+// handle, nil for the baselines.
+func (e *Engine) run(ctx context.Context, alg match.Algorithm, h *core.Hybrid, src, tgt *Schema) *Report {
 	if !e.observing() {
 		return reportFrom(alg, src, tgt)
 	}
-	return e.runObserved(ctx, alg, src, tgt)
+	return e.runObserved(ctx, alg, h, src, tgt)
 }
 
 // runObserved is the instrumented match path: a phase trace is recorded
@@ -318,7 +319,7 @@ func (e *Engine) run(ctx context.Context, alg match.Algorithm, src, tgt *Schema)
 // stamped on the trace and every log line, the phase cell mirroring the
 // current phase into /debug/requests, and the trace sink that hands the
 // finished trace back for /debug/slow stitching.
-func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, src, tgt *Schema) *Report {
+func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, h *core.Hybrid, src, tgt *Schema) *Report {
 	var tr *obs.Trace
 	var matchSpan *obs.ActiveSpan
 	if e.tracing || e.collect {
@@ -330,9 +331,9 @@ func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, src, tgt 
 		matchSpan = tr.StartSpan(obs.PhaseMatch)
 		matchSpan.SetNodes(src.Size(), tgt.Size())
 		tr.SetParent(matchSpan)
-		if ts, ok := alg.(interface{ SetTrace(*obs.Trace) }); ok {
-			ts.SetTrace(tr)
-			defer ts.SetTrace(nil)
+		if h != nil {
+			h.Trace = tr
+			defer func() { h.Trace = nil }()
 		}
 	}
 	e.em.inflight.Add(1) // nil-safe: no-op without Observer.Metrics
@@ -404,16 +405,7 @@ func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, src, tgt 
 // context.Background(); with a never-cancelled context MatchContext is
 // exactly Match.
 func (e *Engine) MatchContext(ctx context.Context, src, tgt *Schema) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	alg, release := e.algorithm(e.parallelism)
-	defer release()
-	if ds, ok := alg.(interface{ SetDone(<-chan struct{}) }); ok {
-		ds.SetDone(ctx.Done())
-	}
-	report := e.run(ctx, alg, src, tgt)
-	return report, ctx.Err()
+	return e.match(ctx, src, tgt, nil, nil)
 }
 
 // QoM computes the hybrid QoM breakdown of the two schema roots.
@@ -470,13 +462,16 @@ func (e *Engine) ExplainTop(src, tgt *Schema, n int) string {
 // cancellation MatchAll returns ctx.Err() and a nil result. A nil ctx is
 // treated as context.Background().
 func (e *Engine) MatchAll(ctx context.Context, sources, targets []*Schema) ([][]*Report, error) {
-	return e.matchAll(ctx, sources, targets, nil)
+	return e.matchAll(ctx, sources, targets, nil, "matchall",
+		slog.Int("sources", len(sources)), slog.Int("targets", len(targets)))
 }
 
-// matchAll is the worker-pool body shared by MatchAll and
-// MatchAllCompiled; a non-nil interner is installed into every worker's
-// matcher so compiled schemas skip the intern phase.
-func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, interner func(*xmltree.Node) *core.Interned) ([][]*Report, error) {
+// matchAll is the one worker pool, behind MatchAll and the Rank family:
+// whole pairs are fanned across the engine's workers, and each pair runs
+// through the same instrumented path as a single Match. interner serves
+// compiled vocabularies (nil on the parse path). op names the batch in its
+// start/complete/cancelled log lines, and attrs describe it there.
+func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, interner func(*xmltree.Node) *core.Interned, op string, attrs ...slog.Attr) ([][]*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -503,9 +498,8 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 	}
 
 	if e.logger != nil {
-		e.logger.LogAttrs(ctx, slog.LevelDebug, "matchall start",
-			slog.Int("sources", len(sources)), slog.Int("targets", len(targets)),
-			slog.Int("jobs", jobs), slog.Int("workers", workers))
+		e.logger.LogAttrs(ctx, slog.LevelDebug, op+" start", append(attrs,
+			slog.Int("jobs", jobs), slog.Int("workers", workers))...)
 	}
 	e.em.workers.Set(int64(workers)) // nil-safe without Observer.Metrics
 	batchStart := time.Now()
@@ -531,26 +525,18 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			alg, release := e.algorithm(inner)
+			// Cancellation reaches into in-flight pair-table fills: the
+			// fill stops between levels and its trace span closes as
+			// partial instead of leaking open.
+			alg, h, release := e.algorithm(ctx, inner, interner)
 			defer release()
-			if ds, ok := alg.(interface{ SetDone(<-chan struct{}) }); ok {
-				// Cancellation reaches into in-flight pair-table
-				// fills: the fill stops between levels and its trace
-				// span closes as partial instead of leaking open.
-				ds.SetDone(ctx.Done())
-			}
-			if interner != nil {
-				installInterner(alg, interner)
-			}
-			resetter, _ := alg.(interface{ ResetCache() })
 			for jb := range ch {
-				if resetter != nil {
-					// Distinct pairs never reuse each other's
-					// tables; dropping them bounds memory over
-					// large batches.
-					resetter.ResetCache()
+				if h != nil {
+					// Distinct pairs never reuse each other's tables;
+					// dropping them bounds memory over large batches.
+					h.ResetCache()
 				}
-				out[jb.i][jb.j] = e.run(ctx, alg, sources[jb.i], targets[jb.j])
+				out[jb.i][jb.j] = e.run(ctx, alg, h, sources[jb.i], targets[jb.j])
 				completed.Add(1)
 			}
 		}()
@@ -559,16 +545,16 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 	if err := ctx.Err(); err != nil {
 		e.em.cancelled.Add(int64(jobs) - completed.Load())
 		if e.logger != nil {
-			e.logger.LogAttrs(context.Background(), slog.LevelWarn, "matchall cancelled",
+			e.logger.LogAttrs(context.Background(), slog.LevelWarn, op+" cancelled", append(attrs,
 				slog.Int("jobs", jobs), slog.Int64("completed", completed.Load()),
-				slog.Duration("elapsed", time.Since(batchStart)))
+				slog.Duration("elapsed", time.Since(batchStart)))...)
 		}
 		return nil, err
 	}
 	if e.logger != nil {
-		e.logger.LogAttrs(ctx, slog.LevelInfo, "matchall complete",
+		e.logger.LogAttrs(ctx, slog.LevelInfo, op+" complete", append(attrs,
 			slog.Int("jobs", jobs), slog.Int("workers", workers),
-			slog.Duration("elapsed", time.Since(batchStart)))
+			slog.Duration("elapsed", time.Since(batchStart)))...)
 	}
 	return out, nil
 }
@@ -579,7 +565,7 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 // heterogeneous web documents, those whose schema best matches a query
 // schema (§1).
 func (e *Engine) Rank(query *Schema, corpus []*Schema) []Ranked {
-	out, _ := e.rank(context.Background(), query, corpus, nil)
+	out, _ := e.RankContext(context.Background(), query, corpus)
 	return out
 }
 
@@ -589,74 +575,25 @@ func (e *Engine) Rank(query *Schema, corpus []*Schema) []Ranked {
 // ranked corpus has no meaningful order). A nil ctx is
 // context.Background(), under which RankContext is exactly Rank.
 func (e *Engine) RankContext(ctx context.Context, query *Schema, corpus []*Schema) ([]Ranked, error) {
-	return e.rank(ctx, query, corpus, nil)
+	rows, err := e.matchAll(ctx, []*Schema{query}, corpus, nil, "rank",
+		slog.String("query", query.Name()), slog.Int("corpus", len(corpus)))
+	if err != nil {
+		return nil, err
+	}
+	return ranked(rows[0], corpus, nil), nil
 }
 
-// rank is the worker-pool body shared by Rank, RankContext and
-// RankCompiled; a non-nil interner is installed into every worker's
-// matcher so compiled schemas skip the intern phase.
-func (e *Engine) rank(ctx context.Context, query *Schema, corpus []*Schema, interner func(*xmltree.Node) *core.Interned) ([]Ranked, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rankStart := time.Now()
-	out := make([]Ranked, len(corpus))
-	workers := e.parallelism
-	if workers > len(corpus) {
-		workers = len(corpus)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range corpus {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
+// ranked turns one query's reports against a corpus into the ranking:
+// descending tree QoM, ties by corpus position. index maps report
+// positions to the caller's corpus indices (nil keeps them); it must be
+// ascending, so ties still break by corpus position.
+func ranked(reports []*Report, corpus []*Schema, index []int) []Ranked {
+	out := make([]Ranked, len(reports))
+	for i, rep := range reports {
+		out[i] = Ranked{Index: i, Schema: corpus[i], Score: rep.TreeQoM, Correspondences: rep.Correspondences}
+		if index != nil {
+			out[i].Index = index[i]
 		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			alg, release := e.algorithm(1)
-			defer release()
-			if ds, ok := alg.(interface{ SetDone(<-chan struct{}) }); ok {
-				ds.SetDone(ctx.Done())
-			}
-			if interner != nil {
-				installInterner(alg, interner)
-			}
-			resetter, _ := alg.(interface{ ResetCache() })
-			for i := range jobs {
-				if resetter != nil {
-					resetter.ResetCache()
-				}
-				tgt := corpus[i]
-				cs := alg.Match(query.root, tgt.root)
-				r := Ranked{Index: i, Schema: tgt, Score: alg.TreeScore(query.root, tgt.root)}
-				r.Correspondences = make([]Correspondence, len(cs))
-				for j, c := range cs {
-					r.Correspondences[j] = Correspondence{Source: c.Source, Target: c.Target, Score: c.Score}
-				}
-				out[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		if e.logger != nil {
-			e.logger.LogAttrs(context.Background(), slog.LevelWarn, "rank cancelled",
-				slog.String("query", query.Name()),
-				slog.Int("corpus", len(corpus)),
-				slog.Duration("elapsed", time.Since(rankStart)))
-		}
-		return nil, err
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -664,14 +601,7 @@ func (e *Engine) rank(ctx context.Context, query *Schema, corpus []*Schema, inte
 		}
 		return out[i].Index < out[j].Index
 	})
-	if e.logger != nil {
-		e.logger.LogAttrs(context.Background(), slog.LevelInfo, "rank complete",
-			slog.String("query", query.Name()),
-			slog.Int("corpus", len(corpus)),
-			slog.Int("workers", workers),
-			slog.Duration("elapsed", time.Since(rankStart)))
-	}
-	return out, nil
+	return out
 }
 
 // interface guard: the CUPID matcher stays interchangeable too.

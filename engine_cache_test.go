@@ -9,6 +9,25 @@ import (
 	"qmatch"
 )
 
+// cacheStats is a snapshot of an Engine's label-score cache counters, read
+// from its metrics registry.
+type cacheStats struct{ Hits, Misses, Entries, Evictions int64 }
+
+func cacheStatsOf(t *testing.T, e *qmatch.Engine) cacheStats {
+	t.Helper()
+	var s cacheStats
+	for name, v := range map[string]*int64{
+		qmatch.MetricCacheHits: &s.Hits, qmatch.MetricCacheMisses: &s.Misses,
+		qmatch.MetricCacheEntries: &s.Entries, qmatch.MetricCacheEvictions: &s.Evictions,
+	} {
+		var ok bool
+		if *v, ok = e.MetricValue(name); !ok {
+			t.Fatalf("engine registry has no %s", name)
+		}
+	}
+	return s
+}
+
 // A first hybrid match fills the Engine's label-score cache (misses), a
 // repeat of the same pair answers every label from it (hits only).
 func TestEngineCacheHitCounters(t *testing.T) {
@@ -16,17 +35,17 @@ func TestEngineCacheHitCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := e.CacheStats(); s != (qmatch.CacheStats{}) {
+	if s := cacheStatsOf(t, e); s != (cacheStats{}) {
 		t.Fatalf("fresh engine cache stats = %+v, want zero", s)
 	}
 	pair := enginePairs()[0]
 	e.Match(pair[0], pair[1])
-	cold := e.CacheStats()
+	cold := cacheStatsOf(t, e)
 	if cold.Misses == 0 || cold.Entries == 0 {
 		t.Fatalf("cold match stats = %+v, want misses and entries", cold)
 	}
 	e.Match(pair[0], pair[1])
-	warm := e.CacheStats()
+	warm := cacheStatsOf(t, e)
 	if warm.Hits <= cold.Hits {
 		t.Fatalf("warm match added no hits: %+v -> %+v", cold, warm)
 	}
@@ -63,7 +82,7 @@ func TestEngineCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := e.CacheStats()
+	s := cacheStatsOf(t, e)
 	if s.Misses == 0 || s.Entries == 0 {
 		t.Fatalf("stats after concurrent batch = %+v, want misses and entries", s)
 	}
@@ -95,7 +114,7 @@ func TestWithLabelCacheSize(t *testing.T) {
 			t.Errorf("%s vs %s: tiny-cache report differs from default", p[0].Name(), p[1].Name())
 		}
 	}
-	if s := small.CacheStats(); s.Evictions == 0 {
+	if s := cacheStatsOf(t, small); s.Evictions == 0 {
 		t.Errorf("tiny cache stats = %+v, want evictions", s)
 	}
 }

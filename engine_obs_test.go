@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"qmatch"
+	"qmatch/internal/obs"
 )
 
 // observedGrid builds the sources×targets grid of the small corpus pairs.
@@ -272,6 +273,67 @@ func TestLoggerLifecycleEvents(t *testing.T) {
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("log stream missing %s:\n%s", want, s)
+		}
+	}
+}
+
+// Rank runs every corpus candidate through the same observed path as
+// Match: on a Metrics+Tracing Engine, ranking N schemas counts N matches,
+// and so does a compiled rank over its k prefilter survivors.
+func TestRankCountsMatches(t *testing.T) {
+	eng, err := qmatch.NewEngine(qmatch.WithObserver(qmatch.Observer{Metrics: true, Tracing: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, corpus := rankCorpus(t)
+	eng.Rank(query, corpus)
+	if got, _ := eng.MetricValue(qmatch.MetricMatches); got != int64(len(corpus)) {
+		t.Fatalf("Rank over %d schemas counted %d matches", len(corpus), got)
+	}
+
+	cq, err := qmatch.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccorpus := make([]*qmatch.CompiledSchema, len(corpus))
+	for i, s := range corpus {
+		if ccorpus[i], err = qmatch.Compile(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.RankCompiled(context.Background(), cq, ccorpus, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := eng.MetricValue(qmatch.MetricMatches); got != int64(len(corpus))+2 {
+		t.Fatalf("RankCompiled with k=2 counted %d matches, want 2", got-int64(len(corpus)))
+	}
+}
+
+// RankContext hands a ctx trace sink one finished match trace per corpus
+// schema, each rooted at a match span — what qmatchd grafts into the
+// request trace of /v1/rank and /v1/search.
+func TestRankContextTraceSink(t *testing.T) {
+	eng, err := qmatch.NewEngine(qmatch.WithObserver(qmatch.Observer{Metrics: true, Tracing: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, corpus := rankCorpus(t)
+	var mu sync.Mutex
+	var traces []*obs.MatchTrace
+	ctx := obs.ContextWithTraceSink(context.Background(), func(mt *obs.MatchTrace) {
+		mu.Lock()
+		traces = append(traces, mt)
+		mu.Unlock()
+	})
+	if _, err := eng.RankContext(ctx, query, corpus); err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != len(corpus) {
+		t.Fatalf("sink received %d traces, want %d", len(traces), len(corpus))
+	}
+	for i, mt := range traces {
+		if len(mt.Spans) == 0 || mt.Spans[0].Phase != obs.PhaseMatch {
+			t.Errorf("trace %d is not rooted at a match span: %+v", i, mt.Spans)
 		}
 	}
 }

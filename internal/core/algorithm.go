@@ -3,7 +3,6 @@ package core
 import (
 	"qmatch/internal/lingo"
 	"qmatch/internal/match"
-	"qmatch/internal/obs"
 	"qmatch/internal/xmltree"
 )
 
@@ -67,21 +66,6 @@ func (h *Hybrid) ResetCache() {
 	}
 	h.results = nil
 }
-
-// SetTrace directs the phase spans of subsequent matches into t; nil
-// disables tracing. This is the optional instrumentation hook the Engine
-// asserts on match.Algorithm values (the baselines don't implement it).
-func (h *Hybrid) SetTrace(t *obs.Trace) { h.Matcher.Trace = t }
-
-// SetDone installs the cancellation signal aborting in-flight pair-table
-// fills (see Matcher.Done); nil never aborts.
-func (h *Hybrid) SetDone(done <-chan struct{}) { h.Matcher.Done = done }
-
-// SetInterner installs the precompiled-vocabulary lookup of the
-// compiled-schema path (see Matcher.Interner); nil interns at match entry.
-// This is the optional fast-path hook the Engine asserts on
-// match.Algorithm values, alongside SetTrace and SetDone.
-func (h *Hybrid) SetInterner(f func(*xmltree.Node) *Interned) { h.Matcher.Interner = f }
 
 // tree returns the pair table for src/tgt, reusing the memoized result
 // when the same pointers are matched again. Callers must not mutate the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"qmatch/internal/lingo"
 	"qmatch/internal/xmltree"
 )
@@ -16,7 +14,7 @@ import (
 // of times). The kernel interns both vocabularies at match entry, scores
 // each unique (label, label) and (propset, propset) combination exactly
 // once into dense matrices, and turns the per-cell axis work of
-// treeWorker.pair into two array lookups. The linguistic cost of a match
+// computeCols into two array lookups. The linguistic cost of a match
 // drops from O(n·m) to O(|Lₛ|·|Lₜ|) (see DESIGN.md §5.9).
 //
 // The matrices are stored structure-of-arrays (scores and kinds apart) in
@@ -26,7 +24,7 @@ import (
 
 // Precision selects the storage width of the kernel's score matrices.
 // The default PrecisionFloat64 stores scores exactly as computed, keeping
-// pair tables bit-identical to the unkerneled reference path.
+// pair tables bit-identical to scoring every cell directly.
 // PrecisionFloat32 halves the matrices' memory; scores read back within
 // float32 rounding (≤6e-8 for values in [0,1]), which the tolerance tests
 // pin and which preserves pair rank order in practice.
@@ -144,27 +142,18 @@ type simKernel struct {
 	propKind    []uint8
 }
 
-// newKernel interns the label and property vocabularies of both node lists
-// and allocates the (unfilled) score matrices.
-func newKernel(srcNodes, tgtNodes []*xmltree.Node, prec Precision) *simKernel {
-	return newKernelFrom(Intern(srcNodes), Intern(tgtNodes), prec, nil)
-}
-
-// newKernelFrom builds a kernel over pre-interned per-side vocabularies —
-// the entry point of the compiled-schema path, which skips the interning
-// walk entirely. The score matrices still must be filled per pair (they
-// depend on both vocabularies), but the shared label cache makes repeat
-// pairs cheap. When b is non-nil the score planes reuse its pooled slabs;
-// stale contents are harmless because the fill writes every logical entry
-// and the accessors never touch tile padding.
+// newKernelFrom builds a kernel over per-side vocabularies, interned at
+// match entry or precompiled (the compiled-schema path, which skips the
+// interning walk entirely). The score matrices still must be filled per
+// pair (they depend on both vocabularies), but the shared label cache
+// makes repeat pairs cheap. The score planes reuse b's pooled slabs; stale
+// contents are harmless because the fill writes every logical entry and
+// the accessors never touch tile padding.
 func newKernelFrom(src, tgt *Interned, prec Precision, b *matchBuffers) *simKernel {
 	k := &simKernel{src: src, tgt: tgt, prec: prec}
 	var ln, pn int
 	k.lb, ln = newBlocked(len(src.Labels), len(tgt.Labels))
 	k.pb, pn = newBlocked(len(src.Props), len(tgt.Props))
-	if b == nil {
-		b = &matchBuffers{} // unpooled scratch
-	}
 	b.lKind = grow(b.lKind, ln)
 	b.pKind = grow(b.pKind, pn)
 	k.labelKind, k.propKind = b.lKind, b.pKind
@@ -227,76 +216,50 @@ func (k *simKernel) setProp(i, j int32, p PropertyQoM) {
 	k.propKind[idx] = uint8(p.Kind)
 }
 
-// fillLabelRows scores rows [lo, hi) of the label matrix through a batch
-// scorer, consulting (and feeding) the shared cross-match cache when one
-// is attached.
-func (k *simKernel) fillLabelRows(ks *lingo.KernelScorer, cache *lingo.ScoreCache, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		sl := k.src.Labels[i]
-		for j, tl := range k.tgt.Labels {
-			if cache != nil {
-				if ls, ok := cache.Get(sl, tl); ok {
-					k.setLabel(int32(i), int32(j), ls.Score, ls.Kind)
-					continue
-				}
+// fillLabelRow scores row i of the label matrix through a batch scorer,
+// consulting (and feeding) the shared cross-match cache when one is
+// attached.
+func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, cache *lingo.ScoreCache, i int) {
+	sl := k.src.Labels[i]
+	for j, tl := range k.tgt.Labels {
+		if cache != nil {
+			if ls, ok := cache.Get(sl, tl); ok {
+				k.setLabel(int32(i), int32(j), ls.Score, ls.Kind)
+				continue
 			}
-			s, kind := ks.Score(int32(i), int32(j))
-			k.setLabel(int32(i), int32(j), s, kind)
-			if cache != nil {
-				cache.Put(sl, tl, lingo.LabelScore{Score: s, Kind: kind})
-			}
+		}
+		s, kind := ks.Score(int32(i), int32(j))
+		k.setLabel(int32(i), int32(j), s, kind)
+		if cache != nil {
+			cache.Put(sl, tl, lingo.LabelScore{Score: s, Kind: kind})
 		}
 	}
 }
 
-// fillPropRows scores rows [lo, hi) of the property matrix.
-func (k *simKernel) fillPropRows(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		sp := k.src.Props[i]
-		for j, tp := range k.tgt.Props {
-			k.setProp(int32(i), int32(j), MatchProperties(sp, tp))
+// fillPropRow scores row i of the property matrix.
+func (k *simKernel) fillPropRow(i int) {
+	sp := k.src.Props[i]
+	for j, tp := range k.tgt.Props {
+		k.setProp(int32(i), int32(j), MatchProperties(sp, tp))
+	}
+}
+
+// fill computes both matrices, fanning their rows across par workers
+// (inline on the calling goroutine at one). The batch scorer is built once
+// on the calling goroutine (construction mutates the matcher's memos) and
+// then shared read-only — Score is concurrency-safe — so workers need no
+// matcher clones. Rows are independent and every entry is a pure function
+// of its two vocabulary entries, so every worker count fills the same
+// matrices.
+func (k *simKernel) fill(names *lingo.NameMatcher, cache *lingo.ScoreCache, par int) {
+	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
+	nl := len(k.src.Labels)
+	fanOut(par, nl+len(k.src.Props), func(i int) bool {
+		if i < nl {
+			k.fillLabelRow(ks, cache, i)
+		} else {
+			k.fillPropRow(i - nl)
 		}
-	}
-}
-
-// fill computes both matrices on the calling goroutine.
-func (k *simKernel) fill(names *lingo.NameMatcher, cache *lingo.ScoreCache) {
-	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
-	k.fillLabelRows(ks, cache, 0, len(k.src.Labels))
-	k.fillPropRows(0, len(k.src.Props))
-}
-
-// fillParallel fans the matrix rows across par goroutines. The batch
-// scorer is built once on the calling goroutine (construction mutates the
-// matcher's memos) and then shared read-only — Score is concurrency-safe —
-// so the per-worker matcher clones of the pair-table phase are not needed
-// here. Rows are independent and every cell is a pure function of its two
-// vocabulary entries, so the result is bit-identical to a sequential fill.
-func (k *simKernel) fillParallel(names *lingo.NameMatcher, cache *lingo.ScoreCache, par int) {
-	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
-	labelRows := make(chan int, len(k.src.Labels))
-	for i := range k.src.Labels {
-		labelRows <- i
-	}
-	close(labelRows)
-	propRows := make(chan int, len(k.src.Props))
-	for i := range k.src.Props {
-		propRows <- i
-	}
-	close(propRows)
-
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range labelRows {
-				k.fillLabelRows(ks, cache, i, i+1)
-			}
-			for i := range propRows {
-				k.fillPropRows(i, i+1)
-			}
-		}()
-	}
-	wg.Wait()
+		return true
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"qmatch/internal/lingo"
 	"qmatch/internal/obs"
@@ -54,7 +55,7 @@ type Matcher struct {
 	// stops between source rows (sequential) or height levels (parallel),
 	// leaving the remaining cells uncomputed and the trace span marked
 	// partial with the cell count filled so far. Nil — the default —
-	// never aborts. Engine.MatchAll wires this to ctx.Done().
+	// never aborts. The Engine wires this to each call's ctx.Done().
 	Done <-chan struct{}
 	// Interner resolves a precompiled per-side vocabulary for a tree root.
 	// Nil (the default), a nil return, or an Interned whose node count
@@ -64,15 +65,10 @@ type Matcher struct {
 	// walk for schemas compiled once up front.
 	Interner func(root *xmltree.Node) *Interned
 	// Precision selects the storage width of the kernel score matrices:
-	// PrecisionFloat64 (the zero value) is exact and bit-identical to the
-	// unkerneled reference path; PrecisionFloat32 halves kernel memory at
-	// float32 rounding tolerance (see the Precision type).
+	// PrecisionFloat64 (the zero value) is exact — tables are bit-identical
+	// to scoring every cell directly; PrecisionFloat32 halves kernel memory
+	// at float32 rounding tolerance (see the Precision type).
 	Precision Precision
-
-	// noKernel disables the interned similarity kernel and scores every
-	// cell directly — the reference path the kernel equivalence tests
-	// compare against.
-	noKernel bool
 }
 
 // parallelCutoff is the minimum pair-table size (cells) worth fanning out;
@@ -188,55 +184,79 @@ type PairQoM struct {
 // Tree matches the source tree against the target tree, computing the QoM
 // of every node pair (including pairs at different relative depths, as in
 // the paper's PurchaseInfo vs Purchase Order example) and returns the
-// complete result. With Parallelism beyond 1 and a table large enough to
-// be worth it, the computation fans out over a bounded worker pool (see
-// treeParallel); the resulting table is bit-identical to the sequential
-// one.
+// complete result. It is the one pair-table fill: buildKernel scores the
+// vocabularies, then the rows are swept children-before-parents on one of
+// two schedules, picked by table size. Below parallelCutoff cells or at
+// Parallelism 1, one worker walks the rows in descending pre-order on the
+// calling goroutine (sweepRows); larger tables fan each source-subtree
+// height level out over the worker pool (sweepLevels). Both schedules
+// produce bit-identical tables.
 func (m *Matcher) Tree(src, tgt *xmltree.Node) *Result {
 	r := newResult(src, tgt)
-	w := m.Weights.Normalized()
-	if par := m.parallelism(); par > 1 && len(r.table) >= parallelCutoff {
-		m.treeParallel(r, w, par)
-	} else {
-		if !m.noKernel {
-			sp := m.Trace.StartSpan(obs.PhaseIntern)
-			r.kern = newKernelFrom(m.interned(src, r.srcNodes), m.interned(tgt, r.tgtNodes), m.Precision, r.buf)
-			r.kern.fill(m.Names, m.Scores)
-			if sp != nil {
-				sp.SetNodes(len(r.kern.src.Labels), len(r.kern.tgt.Labels))
-				sp.SetCells(r.kern.logicalCells())
-				sp.SetWorkers(1)
-			}
-			sp.End()
-		}
-		sp := m.Trace.StartSpan(obs.PhasePairTable)
-		tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
-		partial := false
-		// Descending pre-order: children precede their parents, so every
-		// row a parent's children axis reads is complete before the parent
-		// row starts — the iterative equivalent of the old recursion, with
-		// the same between-rows abort points.
-		for i := len(r.srcNodes) - 1; i >= 0; i-- {
-			if m.aborted() {
-				partial = true
-				break
-			}
-			tw.computeRow(i)
-		}
-		if sp != nil {
-			sp.SetNodes(len(r.srcNodes), len(r.tgtNodes))
-			sp.SetWorkers(1)
-			sp.SetCells(r.filled(partial))
-			if partial {
-				sp.MarkPartial()
-			}
-		}
-		sp.End()
+	par := m.parallelism()
+	if len(r.table) < parallelCutoff {
+		par = 1
 	}
-	if idx := r.cell(src, tgt); idx >= 0 && r.done[idx] {
-		r.Root = r.table[idx]
+	m.buildKernel(r, int64(len(r.table)), par)
+	sp := m.Trace.StartSpan(obs.PhasePairTable)
+	tw := &treeWorker{m: m, names: m.Names, r: r, w: m.Weights.Normalized()}
+	partial := false
+	pprof.Do(context.Background(), r.profileLabels("pairtable"), func(context.Context) {
+		if par == 1 {
+			partial = tw.sweepRows()
+		} else {
+			partial = tw.sweepLevels(par, sp)
+		}
+	})
+	if sp != nil {
+		sp.SetNodes(len(r.srcNodes), len(r.tgtNodes))
+		sp.SetWorkers(par)
+		sp.SetCells(r.filled(partial))
+		if partial {
+			sp.MarkPartial()
+		}
+	}
+	sp.End()
+	if r.done[0] { // cell (0, 0): the (src, tgt) root pair
+		r.Root = r.table[0]
 	}
 	return r
+}
+
+// buildKernel interns both sides of r (or takes the Interner's precompiled
+// vocabularies) and fills the similarity kernel over par workers, under the
+// intern span. cells is how many pair-table cells the caller goes on to
+// compute: the dense kernel scores every label pair up front, which only
+// amortizes when those cells outnumber the label pairs. A full fill always
+// does (a side has no more distinct labels than nodes); a re-match that
+// rescores a handful of columns does not, and leaves r.kern nil so that
+// computeCols scores its cells through the name matcher directly.
+func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
+	sp := m.Trace.StartSpan(obs.PhaseIntern)
+	var si, ti *Interned
+	pprof.Do(context.Background(), r.profileLabels("kernel"), func(context.Context) {
+		si, ti = m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes)
+		if cells >= int64(len(si.Labels))*int64(len(ti.Labels)) {
+			r.kern = newKernelFrom(si, ti, m.Precision, r.buf)
+			r.kern.fill(m.Names, m.Scores, par)
+		}
+	})
+	if sp != nil {
+		sp.SetNodes(len(si.Labels), len(ti.Labels))
+		if r.kern != nil {
+			sp.SetCells(r.kern.logicalCells())
+		}
+		sp.SetWorkers(par)
+	}
+	sp.End()
+}
+
+// profileLabels makes a fill phase legible in CPU profiles: `go tool pprof
+// -tags` splits samples by workload (root-label pair) and phase (kernel vs
+// pairtable). Goroutines inherit the labels of the goroutine that starts
+// them, so one pprof.Do per phase covers its whole worker pool.
+func (r *Result) profileLabels(phase string) pprof.LabelSet {
+	return pprof.Labels("qmatch_workload", r.Source.Label+"->"+r.Target.Label, "qmatch_phase", phase)
 }
 
 // interned resolves the vocabulary of one side: the Interner's
@@ -295,18 +315,72 @@ func (m *Matcher) parallelism() int {
 	}
 }
 
-// treeParallel fills the pair table bottom-up over source-subtree height.
-// The QoM of (s, t) depends only on pairs whose source is a child of s —
-// a strictly smaller subtree — so all rows of one height level are
-// independent of each other and are fanned out across the worker pool;
-// a barrier between levels makes every lower level's cells visible before
-// the next level reads them. Within a level each worker writes only the
-// rows it owns. Workers score labels through clones of m.Names: the
-// thesaurus is shared read-only, the memo caches are per-worker.
-func (m *Matcher) treeParallel(r *Result, w AxisWeights, par int) {
-	// Group source nodes by subtree height, ascending. srcNodes is in
-	// pre-order, so children follow parents and a reverse sweep sees
-	// every child before its parent.
+// fanOut calls do(i) for every i in [0, n) across up to par goroutines,
+// each claiming the next unclaimed index, and returns once all have
+// finished. A worker stops claiming when do reports false. At one worker
+// it runs inline on the calling goroutine.
+func fanOut(par, n int, do func(i int) bool) {
+	if par > n {
+		par = n
+	}
+	if par <= 1 {
+		for i := 0; i < n && do(i); i++ {
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n && do(i); i = int(next.Add(1) - 1) {
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// treeWorker computes pair-table cells. Workers of one fill share it and
+// write disjoint rows; it is read-only during the sweep. names scores
+// cells directly only when the result has no kernel (a small re-match,
+// always on one goroutine).
+type treeWorker struct {
+	m     *Matcher
+	names *lingo.NameMatcher
+	r     *Result
+	w     AxisWeights
+}
+
+// sweepRows is the one-worker schedule: descending pre-order on the
+// calling goroutine. Children follow their parent in pre-order, so every
+// row a parent's children axis reads is complete before the parent row
+// starts. The Done signal is checked between rows; sweepRows reports
+// whether it cut the sweep short.
+func (tw *treeWorker) sweepRows() bool {
+	for i := len(tw.r.srcNodes) - 1; i >= 0; i-- {
+		if tw.m.aborted() {
+			return true
+		}
+		tw.computeRow(i)
+	}
+	return false
+}
+
+// sweepLevels is the parallel schedule. The QoM of (s, t) depends only on
+// pairs whose source is a child of s — a strictly smaller subtree — so the
+// rows are grouped by source-subtree height, ascending, and the rows of one
+// level, independent of each other, are fanned out across par workers.
+// fanOut returning is the barrier that makes every lower level's cells
+// visible before the next level reads them. Each level gets a child span of
+// sp: the per-level breakdown shows which stratum dominates (the wide leaf
+// levels of a bushy schema vs the few expensive rows near the root). The
+// Done signal is checked between levels and rows; sweepLevels reports
+// whether it fired.
+func (tw *treeWorker) sweepLevels(par int, sp *obs.ActiveSpan) bool {
+	r, m := tw.r, tw.m
+	// srcNodes is in pre-order, so children follow parents and a reverse
+	// sweep sees every child before its parent.
 	heights := make([]int, len(r.srcNodes))
 	maxH := 0
 	for i := len(r.srcNodes) - 1; i >= 0; i-- {
@@ -325,127 +399,36 @@ func (m *Matcher) treeParallel(r *Result, w AxisWeights, par int) {
 	for i := range r.srcNodes {
 		levels[heights[i]] = append(levels[heights[i]], int32(i))
 	}
-
-	workers := make([]*treeWorker, par)
-	for i := range workers {
-		workers[i] = &treeWorker{m: m, names: m.Names.Clone(), r: r, w: w}
-	}
-	// Goroutine labels make the worker fan-out legible in CPU profiles:
-	// `go tool pprof -tags` splits samples by workload (root-label pair)
-	// and phase (kernel vs pairtable). Labels set at spawn time are
-	// inherited by the child goroutines, so one Do per phase covers the
-	// whole pool.
-	workload := r.Source.Label + "->" + r.Target.Label
-	// Fill the interned similarity kernel first, fanning matrix rows over
-	// the same worker pool; the level sweep below then reads it freely.
-	if !m.noKernel {
-		sp := m.Trace.StartSpan(obs.PhaseIntern)
-		pprof.Do(context.Background(),
-			pprof.Labels("qmatch_workload", workload, "qmatch_phase", "kernel"),
-			func(context.Context) {
-				r.kern = newKernelFrom(m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes), m.Precision, r.buf)
-				r.kern.fillParallel(m.Names, m.Scores, len(workers))
-			})
-		if sp != nil {
-			sp.SetNodes(len(r.kern.src.Labels), len(r.kern.tgt.Labels))
-			sp.SetCells(r.kern.logicalCells())
-			sp.SetWorkers(len(workers))
-		}
-		sp.End()
-	}
-	sp := m.Trace.StartSpan(obs.PhasePairTable)
-	partial := false
 	for li, level := range levels {
 		if m.aborted() {
-			partial = true
-			break
+			return true
 		}
-		n := len(workers)
-		if n > len(level) {
-			n = len(level)
-		}
-		// One child span per height level: the per-level breakdown shows
-		// which stratum of the fill dominates (the wide leaf levels of a
-		// bushy schema vs the few expensive rows near the root).
 		lsp := sp.Child(obs.PhaseLevel)
 		lsp.SetLevel(li + 1)
 		lsp.SetNodes(len(level), len(r.tgtNodes))
 		lsp.SetCells(int64(len(level)) * int64(len(r.tgtNodes)))
-		lsp.SetWorkers(n)
-		jobs := make(chan int32, len(level))
-		for _, si := range level {
-			jobs <- si
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		pprof.Do(context.Background(),
-			pprof.Labels("qmatch_workload", workload, "qmatch_phase", "pairtable"),
-			func(context.Context) {
-				for i := 0; i < n; i++ {
-					tw := workers[i]
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for si := range jobs {
-							if tw.m.aborted() {
-								return
-							}
-							tw.computeRow(int(si))
-						}
-					}()
-				}
-			})
-		wg.Wait()
+		lsp.SetWorkers(min(par, len(level)))
+		fanOut(par, len(level), func(k int) bool {
+			if m.aborted() {
+				return false
+			}
+			tw.computeRow(int(level[k]))
+			return true
+		})
 		if m.aborted() {
 			lsp.MarkPartial()
 		}
 		lsp.End()
 	}
-	partial = partial || m.aborted()
-	if sp != nil {
-		sp.SetNodes(len(r.srcNodes), len(r.tgtNodes))
-		sp.SetWorkers(len(workers))
-		sp.SetCells(r.filled(partial))
-		if partial {
-			sp.MarkPartial()
-		}
-	}
-	sp.End()
+	return m.aborted()
 }
 
-// MatchNodes computes the QoM of a single subtree pair.
-func (m *Matcher) MatchNodes(s, t *xmltree.Node) QoM {
-	r := newResult(s, t)
-	if !m.noKernel {
-		r.kern = newKernelFrom(m.interned(s, r.srcNodes), m.interned(t, r.tgtNodes), m.Precision, r.buf)
-		r.kern.fill(m.Names, m.Scores)
-	}
-	tw := &treeWorker{m: m, names: m.Names, r: r, w: m.Weights.Normalized()}
-	for i := len(r.srcNodes) - 1; i >= 0; i-- {
-		tw.computeRow(i)
-	}
-	q := r.table[0] // cell (0, 0): the (s, t) root pair
-	r.Release()
-	return q
-}
-
-// treeWorker computes pair-table cells with a dedicated NameMatcher, so
-// several workers can fill disjoint rows of one Result concurrently.
-type treeWorker struct {
-	m     *Matcher
-	names *lingo.NameMatcher
-	r     *Result
-	w     AxisWeights
-}
-
-// computeRow fills source row i of the pair table. It is the iterative
-// form of pair(): because rows are computed in an order where every child
-// row precedes its parent's (descending pre-order sequentially, ascending
-// subtree height in parallel), the children axis reads completed rows by
-// index instead of recursing — no per-cell map lookups, no QoM copies up
-// a call stack, no node-pointer chasing. Cell values are bit-identical to
-// the recursive computation; the equivalence and cancellation tests pin
-// this.
+// computeRow fills source row i of the pair table. Rows are computed in an
+// order where every child row precedes its parent's (descending pre-order
+// on one worker, ascending subtree height in parallel), so the children
+// axis reads completed rows by index instead of recursing — no per-cell
+// map lookups, no QoM copies up a call stack, no node-pointer chasing.
+// The paper-oracle tests pin every cell to the recursive definition.
 func (tw *treeWorker) computeRow(i int) { tw.computeCols(i, nil) }
 
 // computeCols fills the given target columns of source row i (nil = every
@@ -462,6 +445,8 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 	sLeaf := r.srcLeaf[i]
 	sLvl := r.srcLevels[i]
 	k := r.kern
+	// Epsilon guards the common case of a child sitting exactly at the
+	// threshold under inexact float sums.
 	th := tw.m.Threshold - 1e-9
 	nj := mcols
 	if cols != nil {
@@ -487,7 +472,8 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 		}
 
 		if sLeaf && r.tgtLeaf[j] {
-			// Leaf match (Eq. 2): see pair().
+			// Leaf match (Eq. 2): label and properties compared; level and
+			// children match exactly by default — the constant C = WH + WC.
 			q.Leaf = true
 			q.LevelExact = true
 			q.Level = 1
@@ -506,11 +492,23 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 			if q.LevelExact {
 				q.Level = 1
 			}
-			// Children axis (Eq. 3–5): identical candidate set and
-			// threshold/coverage rules as pair(), reading finished rows.
-			// Only the best candidate's index is tracked; its Class is
-			// read once at the end (the zero Class when nothing beat the
-			// zero QoM, exactly as pair()'s `var best QoM` behaves).
+			// Children axis (Eq. 3–5): each source child contributes its
+			// best-matching target candidate when that match clears the
+			// threshold. Candidates are the target's children plus the
+			// target node itself — the paper's §2.2 walkthrough matches
+			// the source child PurchaseInfo against the target *root*
+			// Purchase Order, so a source nested one level deeper than
+			// the target can still achieve coverage.
+			//
+			// Two notions are tracked separately. The *quantitative* Rw/Rs
+			// follow Fig. 3's threshold on the QoM value, which lets pure
+			// structural agreement propagate (the Fig. 9 behaviour). The
+			// *qualitative* coverage classification (total/partial, §2.1)
+			// additionally requires the child's best pair not to classify
+			// as NoMatch — a label-less structural coincidence contributes
+			// weight but does not make a child "have a match". Only the
+			// best candidate's index is tracked; its Class is read once at
+			// the end (NoMatch when nothing beat the zero QoM).
 			sum := 0.0
 			count := 0
 			covered := 0
@@ -564,123 +562,6 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 		q.classify()
 		r.done[base+j] = true
 	}
-}
-
-// pair computes (or returns the memoized) QoM of one node pair — the
-// recursive reference form of computeRow, kept as the post-fill accessor:
-// a node foreign to the matched trees yields the zero QoM instead of
-// panicking on a bogus table index.
-func (tw *treeWorker) pair(s, t *xmltree.Node) QoM {
-	r := tw.r
-	i, ok := r.srcIdx[s]
-	if !ok {
-		return QoM{}
-	}
-	j, ok := r.tgtIdx[t]
-	if !ok {
-		return QoM{}
-	}
-	idx := i*len(r.tgtNodes) + j
-	if r.done[idx] {
-		return r.table[idx]
-	}
-	// Break recursive-schema cycles defensively: mark in-progress pairs
-	// with the zero entry (schema trees are acyclic, so this only guards
-	// against malformed input). The table slab is pooled and arrives
-	// dirty, so the zero entry is written explicitly.
-	r.done[idx] = true
-	r.table[idx] = QoM{}
-
-	var q QoM
-	if k := r.kern; k != nil {
-		q.Label, q.LabelKind = k.labelAt(i, j)
-		q.Properties, q.PropertiesKind = k.propAt(i, j)
-	} else {
-		q.Label, q.LabelKind = tw.names.Match(s.Label, t.Label)
-		pq := MatchProperties(s.Props, t.Props)
-		q.Properties, q.PropertiesKind = pq.Score, pq.Kind
-	}
-
-	if s.IsLeaf() && t.IsLeaf() {
-		// Leaf match (Eq. 2): label and properties compared; level and
-		// children match exactly by default — the constant C = WH + WC.
-		q.Leaf = true
-		q.LevelExact = true
-		q.Level = 1
-		q.SubtreeWeight, q.CardinalityRatio = 1, 1
-		q.Children = 1
-		q.Coverage = Total
-		q.ChildrenAllExact = true
-	} else {
-		q.LevelExact = levelEqual(s, t)
-		if q.LevelExact {
-			q.Level = 1
-		}
-		// Children axis (Eq. 3–5): each source child contributes its
-		// best-matching target candidate when that match clears the
-		// threshold. Candidates are the target's children plus the
-		// target node itself — the paper's §2.2 walkthrough matches
-		// the source child PurchaseInfo against the target *root*
-		// Purchase Order, so a source nested one level deeper than
-		// the target can still achieve coverage.
-		//
-		// Two notions are tracked separately. The *quantitative* Rw/Rs
-		// follow Fig. 3's threshold on the QoM value, which lets pure
-		// structural agreement propagate (the Fig. 9 behaviour). The
-		// *qualitative* coverage classification (total/partial, §2.1)
-		// additionally requires the child's best pair not to classify
-		// as NoMatch — a label-less structural coincidence contributes
-		// weight but does not make a child "have a match".
-		sum := 0.0
-		count := 0
-		covered := 0
-		allExact := true
-		for _, cs := range s.Children {
-			var best QoM
-			for _, ct := range t.Children {
-				cq := tw.pair(cs, ct)
-				if cq.Value > best.Value {
-					best = cq
-				}
-			}
-			if !cs.IsLeaf() {
-				if cq := tw.pair(cs, t); cq.Value > best.Value {
-					best = cq
-				}
-			}
-			// Epsilon guards the common case of a child sitting
-			// exactly at the threshold under inexact float sums.
-			if best.Value >= tw.m.Threshold-1e-9 {
-				sum += best.Value
-				count++
-				if best.Class != NoMatch {
-					covered++
-					if best.Class != TotalExact {
-						allExact = false
-					}
-				}
-			}
-		}
-		if n := len(s.Children); n > 0 {
-			q.SubtreeWeight = sum / float64(n)
-			q.CardinalityRatio = float64(count) / float64(n)
-			switch {
-			case covered == n:
-				q.Coverage = Total
-			case covered > 0:
-				q.Coverage = Partial
-			}
-		}
-		q.Children = (q.SubtreeWeight + q.CardinalityRatio) / 2
-		q.ChildrenAllExact = allExact && covered > 0
-	}
-
-	q.Value = tw.w.Label*q.Label + tw.w.Properties*q.Properties +
-		tw.w.Level*q.Level + tw.w.Children*q.Children
-	q.classify()
-
-	r.table[idx] = q
-	return q
 }
 
 // levelEqual implements the level axis (QoMH). The paper compares nesting

@@ -196,7 +196,7 @@ func TestDisjointTreesScoreLow(t *testing.T) {
 func TestLeafVsInnerNode(t *testing.T) {
 	leaf := xmltree.New("OrderNo", xmltree.Elem("integer"))
 	inner := poSource()
-	q := defaultMatcher().MatchNodes(leaf, inner)
+	q := defaultMatcher().Tree(leaf, inner).Root
 	if q.Leaf {
 		t.Fatal("leaf-vs-inner treated as leaf pair")
 	}
@@ -304,7 +304,7 @@ func TestMatchNodesSubtree(t *testing.T) {
 	src, tgt := poSource(), poTarget()
 	lines := src.Find("PO/PurchaseInfo/Lines")
 	items := tgt.Find("PurchaseOrder/Items")
-	q := defaultMatcher().MatchNodes(lines, items)
+	q := defaultMatcher().Tree(lines, items).Root
 	if q.Class != TotalRelaxed {
 		t.Fatalf("subtree match class = %v", q.Class)
 	}

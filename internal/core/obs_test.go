@@ -14,7 +14,7 @@ func TestTreeTraceSpans(t *testing.T) {
 	p := dataset.POPair()
 	h := NewHybrid(nil)
 	tr := obs.NewTrace()
-	h.SetTrace(tr)
+	h.Trace = tr
 	h.Match(p.Source, p.Target)
 	mt := tr.Finish()
 

@@ -156,18 +156,9 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 		}
 		copy(r.done[nb:nb+mNew], doneRow)
 	}
-	// The dense kernel scores every vocabulary pair up front, which only
-	// amortizes when the rescored cells outnumber the label pairs. A
-	// typical delta dirties a handful of columns — score those cells
-	// directly through the name matcher instead of refilling the kernel.
-	if !m.noKernel {
-		si := m.interned(r.Source, r.srcNodes)
-		ti := m.interned(newTgt, r.tgtNodes)
-		if int64(n)*int64(len(dirty)) >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kern = newKernelFrom(si, ti, m.Precision, r.buf)
-			r.kern.fill(m.Names, m.Scores)
-		}
-	}
+	// A typical delta dirties a handful of columns: buildKernel then skips
+	// the kernel, and those cells are scored through the name matcher.
+	m.buildKernel(r, int64(n)*int64(len(dirty)), 1)
 	tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
 	for i := n - 1; i >= 0; i-- {
 		tw.computeCols(i, dirty)
@@ -209,16 +200,7 @@ func (m *Matcher) RematchSource(prev *Result, newSrc *xmltree.Node) (*Result, Re
 			dirtyRows++
 		}
 	}
-	// Same kernel-amortization rule as RematchTarget: refill the dense
-	// kernel only when the rescored cells outnumber the vocabulary pairs.
-	if !m.noKernel {
-		si := m.interned(newSrc, r.srcNodes)
-		ti := m.interned(r.Target, r.tgtNodes)
-		if int64(dirtyRows)*int64(mcols) >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kern = newKernelFrom(si, ti, m.Precision, r.buf)
-			r.kern.fill(m.Names, m.Scores)
-		}
-	}
+	m.buildKernel(r, int64(dirtyRows)*int64(mcols), 1)
 	trueRow := make([]bool, mcols)
 	for j := range trueRow {
 		trueRow[j] = true

@@ -13,7 +13,7 @@ func TestTaxonomyMatrix(t *testing.T) {
 	m := defaultMatcher()
 
 	classify := func(s, tgt *xmltree.Node) Class {
-		return m.MatchNodes(s, tgt).Class
+		return m.Tree(s, tgt).Root.Class
 	}
 
 	t.Run("leaf total exact", func(t *testing.T) {
@@ -107,7 +107,7 @@ func TestTaxonomyMatrix(t *testing.T) {
 		b := xmltree.NewTree("Spanner", xmltree.Elem(""),
 			xmltree.New("Thread", xmltree.Elem("hexBinary")),
 		)
-		q := m.MatchNodes(a, b)
+		q := m.Tree(a, b).Root
 		// No semantic evidence anywhere: coverage must be none and the
 		// class NoMatch or PartialRelaxed (the properties axis keeps an
 		// order-equality remnant). The *value* stays mid-range — that
@@ -136,7 +136,7 @@ func TestClassifyKindsRecorded(t *testing.T) {
 	b := xmltree.NewTree("Items", xmltree.Elem(""), // related → relaxed label
 		xmltree.New("Item", xmltree.Elem("string")),
 	)
-	q := m.MatchNodes(a, b)
+	q := m.Tree(a, b).Root
 	if q.LabelKind != lingo.Relaxed {
 		t.Fatalf("label kind = %v", q.LabelKind)
 	}

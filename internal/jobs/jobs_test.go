@@ -127,8 +127,11 @@ func TestJobCompletesAndMatchesSync(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("got %d results, want 4", len(results))
 	}
-	// Every cell's bytes must equal the synchronous compiled match.
-	want, err := eng.MatchAllCompiled(context.Background(), sources, targets)
+	// Every cell's bytes must equal the synchronous match (the compiled
+	// and parse paths are pinned bit-identical).
+	want, err := eng.MatchAll(context.Background(),
+		[]*qmatch.Schema{sources[0].Schema(), sources[1].Schema()},
+		[]*qmatch.Schema{targets[0].Schema(), targets[1].Schema()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestFinishClosesOpenSpansPartial(t *testing.T) {
 	}
 }
 
-// Spans begin and end on many goroutines at once (treeParallel's worker
+// Spans begin and end on many goroutines at once (the parallel fill's worker
 // pool); run with -race.
 func TestTraceConcurrent(t *testing.T) {
 	tr := NewTrace()

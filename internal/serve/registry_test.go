@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"qmatch"
 	"qmatch/internal/registry"
 )
 
@@ -176,6 +177,25 @@ func TestSearchEndpoint(t *testing.T) {
 	resp, _ = post(t, ts.URL+"/v1/search", SearchRequest{Query: &SchemaInput{Data: "<bad"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad query: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// Search ranks its candidates through the Engine's observed match path:
+// a /v1/search without k over a two-schema registry counts two matches.
+func TestSearchCountsCandidateMatches(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for id, doc := range map[string]string{"po-source": poSourceXSD, "po-target": poTargetXSD} {
+		if resp, body := putSchema(t, ts.URL, id, doc); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("put %s: %d: %s", id, resp.StatusCode, body)
+		}
+	}
+	before, _ := s.engine.MetricValue(qmatch.MetricMatches)
+	resp, body := post(t, ts.URL+"/v1/search", SearchRequest{Query: &SchemaInput{Data: poSourceXSD}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search: status %d: %s", resp.StatusCode, body)
+	}
+	if after, _ := s.engine.MetricValue(qmatch.MetricMatches); after-before != 2 {
+		t.Errorf("search raised %s by %d, want 2 (one per candidate)", qmatch.MetricMatches, after-before)
 	}
 }
 

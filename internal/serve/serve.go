@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -599,28 +598,16 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.limited(w, r, req.TimeoutMs, func(ctx context.Context) {
-		// Rank through MatchAll so the request deadline reaches into
-		// in-flight fills; one query row over the corpus yields the
-		// same scores and correspondences as Engine.Rank.
-		rows, err := eng.MatchAll(ctx, []*qmatch.Schema{query}, corpus)
+		// The request deadline reaches into in-flight fills.
+		out, err := eng.RankContext(ctx, query, corpus)
 		if err != nil {
 			s.writeDeadline(w, nil, err)
 			return
 		}
-		ranked := make([]RankedResult, len(corpus))
-		for i, rep := range rows[0] {
-			ranked[i] = RankedResult{
-				Index:           i,
-				Score:           rep.TreeQoM,
-				Correspondences: rep.Correspondences,
-			}
+		ranked := make([]RankedResult, len(out))
+		for i, rk := range out {
+			ranked[i] = RankedResult{Index: rk.Index, Score: rk.Score, Correspondences: rk.Correspondences}
 		}
-		sort.SliceStable(ranked, func(i, j int) bool {
-			if ranked[i].Score != ranked[j].Score {
-				return ranked[i].Score > ranked[j].Score
-			}
-			return ranked[i].Index < ranked[j].Index
-		})
 		writeJSON(w, http.StatusOK, RankResponse{Ranked: ranked})
 	})
 }

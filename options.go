@@ -118,7 +118,7 @@ type KernelPrecision = core.Precision
 
 const (
 	// Float64 stores kernel scores at full width — the default, with pair
-	// tables bit-identical to the unkerneled reference computation.
+	// tables bit-identical to scoring every cell directly.
 	Float64 KernelPrecision = core.PrecisionFloat64
 	// Float32 stores kernel scores at half width: on vocabulary-heavy
 	// workloads the score planes dominate kernel memory, and scores read
@@ -209,7 +209,8 @@ func WithParallelism(n int) Option {
 // batch grid — or across requests on a long-lived serving Engine — is
 // scored once. 0 (the default) selects a generous built-in bound (2^18
 // pairs); negative sizes are rejected at Engine construction. Cache
-// hit/miss counters are exposed via Engine.CacheStats.
+// hit/miss counters are exposed as metrics (read one with
+// Engine.MetricValue(MetricCacheHits) and friends).
 func WithLabelCacheSize(n int) Option {
 	return func(c *config) { c.labelCacheSize = n }
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"qmatch/internal/core"
-	"qmatch/internal/match"
 	"qmatch/internal/obs"
 )
 
@@ -52,14 +51,11 @@ func WithRematchState() Option {
 
 // attachRematchState detaches the hybrid matcher's pair table for the just
 // matched pair and parks it on the Report, on Engines opted in via
-// WithRematchState. Must run before the algorithm handle is released (the
-// release drops all un-taken tables back to the arena pool).
-func (e *Engine) attachRematchState(rep *Report, alg match.Algorithm, src, tgt *CompiledSchema) {
-	if !e.cfg.rematchState || rep == nil {
-		return
-	}
-	h, ok := alg.(*core.Hybrid)
-	if !ok {
+// WithRematchState (h is nil for the baselines, which keep no table). Must
+// run before the algorithm handle is released (the release drops all
+// un-taken tables back to the arena pool).
+func (e *Engine) attachRematchState(rep *Report, h *core.Hybrid, src, tgt *CompiledSchema) {
+	if !e.cfg.rematchState || rep == nil || h == nil {
 		return
 	}
 	if r := h.Take(src.art.Root, tgt.art.Root); r != nil {
@@ -97,7 +93,7 @@ func (e *Engine) Rematch(prev *Report, old, new *CompiledSchema) (*Report, error
 
 	h, release := e.hybrid(e.parallelism)
 	defer release()
-	installInterner(h, compiledInterner(srcCS, tgtCS))
+	h.Interner = compiledInterner(srcCS, tgtCS)
 	start := time.Now()
 	var r *core.Result
 	var stats core.RematchStats
@@ -112,7 +108,7 @@ func (e *Engine) Rematch(prev *Report, old, new *CompiledSchema) (*Report, error
 	// Seed the matcher's memo with the rematched table: the selection pass
 	// in run() finds it and never refills.
 	h.Adopt(r)
-	rep := e.run(context.Background(), h, srcCS.schema, tgtCS.schema)
+	rep := e.run(context.Background(), h, h, srcCS.schema, tgtCS.schema)
 	side := "source"
 	if target {
 		side = "target"
