@@ -95,7 +95,6 @@ func TestRunMetricsSnapshot(t *testing.T) {
 		`"qmatch_phase_ns_total{phase=\"pairtable\"}"`,
 		`"qmatch_match_duration_seconds"`,
 		`"qmatch_phase_duration_seconds{phase=\"pairtable\"}"`,
-		`"qmatch_label_cache_hits_total"`,
 		// Every non-empty histogram carries the p50/p90/p99 summary.
 		`"percentiles"`,
 		`"p50"`, `"p90"`, `"p99"`,

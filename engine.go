@@ -32,20 +32,19 @@ import (
 // normalized at match time.
 //
 // The package-level Match, QoM, MatchComplex, ExplainTop and Rank
-// functions are thin wrappers that build a throwaway Engine per call;
-// services matching many schema pairs should build one Engine and reuse
-// it, batching with MatchAll where possible.
+// functions are thin wrappers: option-less calls share one lazily built
+// default Engine, and calls with options build a throwaway Engine each.
+// Services matching many schema pairs with their own options should build
+// one Engine and reuse it, batching with MatchAll where possible.
 type Engine struct {
 	cfg         config
 	weights     core.AxisWeights
 	thesaurus   *lingo.Thesaurus
 	names       *lingo.MatcherPool
-	labels      *lingo.ScoreCache
 	parallelism int
 
 	// Observability (DESIGN.md §"Observability"). The registry always
-	// exists — the label-cache gauges are pull-only and free at match
-	// time — but per-match collection, tracing and logging are opt-in via
+	// exists, but per-match collection, tracing and logging are opt-in via
 	// WithObserver/WithLogger; with all three off the match path reduces
 	// to one boolean check.
 	metrics *obs.Registry
@@ -86,7 +85,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		weights:     cfg.axisWeights(),
 		thesaurus:   th,
 		names:       lingo.NewMatcherPool(th),
-		labels:      lingo.NewScoreCache(cfg.labelCacheSize),
 		parallelism: cfg.parallelism,
 		metrics:     obs.NewRegistry(),
 		logger:      cfg.logger,
@@ -96,14 +94,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if e.parallelism == 0 {
 		e.parallelism = runtime.GOMAXPROCS(0)
 	}
-	// The label-score cache counters are folded into the registry as
-	// pull-style gauges: evaluated only when the registry is read, so the
-	// cache hot path is untouched.
-	labels := e.labels
-	e.metrics.GaugeFunc(MetricCacheHits, func() int64 { return labels.Stats().Hits })
-	e.metrics.GaugeFunc(MetricCacheMisses, func() int64 { return labels.Stats().Misses })
-	e.metrics.GaugeFunc(MetricCacheEntries, func() int64 { return labels.Stats().Entries })
-	e.metrics.GaugeFunc(MetricCacheEvictions, func() int64 { return labels.Stats().Evictions })
 	if e.collect {
 		// Every pipeline phase gets a wall-time counter (aggregate share
 		// of time per phase) and a duration histogram (per-phase latency
@@ -148,8 +138,8 @@ func mustEngine(opts []Option) *Engine {
 // defaultEngine is the lazily-built default-configuration Engine behind
 // the package-level Match/QoM/MatchComplex/ExplainTop/Rank functions. It
 // is constructed on first use and shared for the process lifetime, so
-// repeated option-less calls reuse one warm thesaurus, matcher pool and
-// label-score cache instead of rebuilding them per call.
+// repeated option-less calls reuse one warm thesaurus and matcher pool
+// instead of rebuilding them per call.
 var defaultEngine = sync.OnceValue(func() *Engine {
 	return mustEngine(nil)
 })
@@ -217,10 +207,6 @@ func (e *Engine) hybrid(inner int) (*core.Hybrid, func()) {
 	h.Matcher.Names = e.names.Get()
 	h.Matcher.Weights = e.weights
 	h.Matcher.Parallelism = inner
-	h.Matcher.Precision = e.cfg.precision
-	// Every hybrid matcher of this Engine shares one label-score cache —
-	// sound because the Engine froze the thesaurus and tuning.
-	h.Matcher.Scores = e.labels
 	if e.cfg.childThreshold != nil {
 		h.Threshold = *e.cfg.childThreshold
 	}

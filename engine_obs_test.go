@@ -227,7 +227,7 @@ func TestDisabledObserverAddsNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.Match(src, tgt) // warm the label caches so runs are steady-state
+	plain.Match(src, tgt) // warm the name-matcher memos so runs are steady-state
 	zero.Match(src, tgt)
 	// Min of interleaved batches: a GC emptying the matcher pool mid-batch
 	// shows up as a spurious alloc in one batch, not in all three.

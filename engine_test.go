@@ -3,12 +3,14 @@ package qmatch_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"qmatch"
 	"qmatch/internal/dataset"
+	"qmatch/internal/synth"
 )
 
 // enginePairs returns the small corpus pairs (everything but the protein
@@ -244,5 +246,39 @@ func TestEngineRankEqualsPackageRank(t *testing.T) {
 		if got[i].Score > got[i-1].Score {
 			t.Fatal("rank not sorted by descending score")
 		}
+	}
+}
+
+// An Engine keeps no state per label pair between matches: after 16 pairs
+// with distinct vocabularies, the collected heap holds little more than it
+// did before them. Two GCs empty the sync.Pools of pooled pair tables and
+// name matchers, so only state the Engine itself pins can remain.
+func TestEngineRetainsNoLabelState(t *testing.T) {
+	eng, err := qmatch.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([][2]*qmatch.Schema, 16)
+	for i := range pairs {
+		src := synth.Generate(synth.Config{Seed: int64(2 * i), Elements: 60})
+		tgt := synth.Generate(synth.Config{Seed: int64(2*i + 1), Elements: 60})
+		pairs[i] = [2]*qmatch.Schema{qmatch.FromTree(src), qmatch.FromTree(tgt)}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for _, p := range pairs {
+		eng.Match(p[0], p[1])
+	}
+	grown := heap() - before
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(pairs)
+	if grown >= 512<<10 {
+		t.Errorf("heap grew %d KiB over 16 matches on one Engine, want < 512 KiB", grown>>10)
 	}
 }

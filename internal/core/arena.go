@@ -32,14 +32,11 @@ type matchBuffers struct {
 
 	srcIdx, tgtIdx map[*xmltree.Node]int
 
-	// Kernel score/kind planes (see simKernel). Either the 64- or 32-bit
-	// score plane is active per match, but both keep their capacity.
-	lKind []uint8
-	lS64  []float64
-	lS32  []float32
-	pKind []uint8
-	pS64  []float64
-	pS32  []float32
+	// Kernel score/kind planes (see simKernel).
+	lScore []float64
+	lKind  []uint8
+	pScore []float64
+	pKind  []uint8
 }
 
 var bufPool = sync.Pool{New: func() any { return new(matchBuffers) }}

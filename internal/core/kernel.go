@@ -18,24 +18,7 @@ import (
 // drops from O(n·m) to O(|Lₛ|·|Lₜ|) (see DESIGN.md §5.9).
 //
 // The matrices are stored structure-of-arrays (scores and kinds apart) in
-// a tile-blocked layout — see the blocked type — and the score plane is
-// float64 by default or float32 under PrecisionFloat32 (half the memory,
-// scores within float32 rounding of the default; DESIGN.md §5.10).
-
-// Precision selects the storage width of the kernel's score matrices.
-// The default PrecisionFloat64 stores scores exactly as computed, keeping
-// pair tables bit-identical to scoring every cell directly.
-// PrecisionFloat32 halves the matrices' memory; scores read back within
-// float32 rounding (≤6e-8 for values in [0,1]), which the tolerance tests
-// pin and which preserves pair rank order in practice.
-type Precision uint8
-
-const (
-	// PrecisionFloat64 stores kernel scores at full width (default).
-	PrecisionFloat64 Precision = iota
-	// PrecisionFloat32 stores kernel scores at half width.
-	PrecisionFloat32
-)
+// a tile-blocked layout — see the blocked type.
 
 // Tile geometry of the blocked matrices: 8 rows × 256 columns = 2048
 // entries (16 KiB of float64 scores) per tile. Columns dominate because
@@ -129,43 +112,31 @@ func Intern(nodes []*xmltree.Node) *Interned {
 // children-axis sweep reads only scores, and kinds pack to one byte.
 type simKernel struct {
 	src, tgt *Interned
-	prec     Precision
 
-	lb           blocked // label-matrix layout (|Lₛ|×|Lₜ|)
-	labelScore64 []float64
-	labelScore32 []float32
-	labelKind    []uint8
+	lb         blocked // label-matrix layout (|Lₛ|×|Lₜ|)
+	labelScore []float64
+	labelKind  []uint8
 
-	pb          blocked // property-matrix layout (|Pₛ|×|Pₜ|)
-	propScore64 []float64
-	propScore32 []float32
-	propKind    []uint8
+	pb        blocked // property-matrix layout (|Pₛ|×|Pₜ|)
+	propScore []float64
+	propKind  []uint8
 }
 
 // newKernelFrom builds a kernel over per-side vocabularies, interned at
 // match entry or precompiled (the compiled-schema path, which skips the
 // interning walk entirely). The score matrices still must be filled per
-// pair (they depend on both vocabularies), but the shared label cache
-// makes repeat pairs cheap. The score planes reuse b's pooled slabs; stale
-// contents are harmless because the fill writes every logical entry and
-// the accessors never touch tile padding.
-func newKernelFrom(src, tgt *Interned, prec Precision, b *matchBuffers) *simKernel {
-	k := &simKernel{src: src, tgt: tgt, prec: prec}
+// pair (they depend on both vocabularies). The planes reuse b's pooled
+// slabs; stale contents are harmless because the fill writes every
+// logical entry and the accessors never touch tile padding.
+func newKernelFrom(src, tgt *Interned, b *matchBuffers) *simKernel {
+	k := &simKernel{src: src, tgt: tgt}
 	var ln, pn int
 	k.lb, ln = newBlocked(len(src.Labels), len(tgt.Labels))
 	k.pb, pn = newBlocked(len(src.Props), len(tgt.Props))
-	b.lKind = grow(b.lKind, ln)
-	b.pKind = grow(b.pKind, pn)
-	k.labelKind, k.propKind = b.lKind, b.pKind
-	if prec == PrecisionFloat32 {
-		b.lS32 = grow(b.lS32, ln)
-		b.pS32 = grow(b.pS32, pn)
-		k.labelScore32, k.propScore32 = b.lS32, b.pS32
-	} else {
-		b.lS64 = grow(b.lS64, ln)
-		b.pS64 = grow(b.pS64, pn)
-		k.labelScore64, k.propScore64 = b.lS64, b.pS64
-	}
+	b.lScore, b.lKind = grow(b.lScore, ln), grow(b.lKind, ln)
+	b.pScore, b.pKind = grow(b.pScore, pn), grow(b.pKind, pn)
+	k.labelScore, k.labelKind = b.lScore, b.lKind
+	k.propScore, k.propKind = b.pScore, b.pKind
 	return k
 }
 
@@ -179,60 +150,21 @@ func (k *simKernel) logicalCells() int64 {
 // pre-order index i and target pre-order index j.
 func (k *simKernel) labelAt(i, j int) (float64, lingo.Kind) {
 	idx := k.lb.idx(k.src.LabelID[i], k.tgt.LabelID[j])
-	if k.labelScore64 != nil {
-		return k.labelScore64[idx], lingo.Kind(k.labelKind[idx])
-	}
-	return float64(k.labelScore32[idx]), lingo.Kind(k.labelKind[idx])
+	return k.labelScore[idx], lingo.Kind(k.labelKind[idx])
 }
 
 // propAt is labelAt for the property axis.
 func (k *simKernel) propAt(i, j int) (float64, lingo.Kind) {
 	idx := k.pb.idx(k.src.PropID[i], k.tgt.PropID[j])
-	if k.propScore64 != nil {
-		return k.propScore64[idx], lingo.Kind(k.propKind[idx])
-	}
-	return float64(k.propScore32[idx]), lingo.Kind(k.propKind[idx])
+	return k.propScore[idx], lingo.Kind(k.propKind[idx])
 }
 
-// setLabel stores one label-matrix entry at (label id, label id).
-func (k *simKernel) setLabel(i, j int32, s float64, kind lingo.Kind) {
-	idx := k.lb.idx(i, j)
-	if k.labelScore64 != nil {
-		k.labelScore64[idx] = s
-	} else {
-		k.labelScore32[idx] = float32(s)
-	}
-	k.labelKind[idx] = uint8(kind)
-}
-
-// setProp stores one property-matrix entry at (prop id, prop id).
-func (k *simKernel) setProp(i, j int32, p PropertyQoM) {
-	idx := k.pb.idx(i, j)
-	if k.propScore64 != nil {
-		k.propScore64[idx] = p.Score
-	} else {
-		k.propScore32[idx] = float32(p.Score)
-	}
-	k.propKind[idx] = uint8(p.Kind)
-}
-
-// fillLabelRow scores row i of the label matrix through a batch scorer,
-// consulting (and feeding) the shared cross-match cache when one is
-// attached.
-func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, cache *lingo.ScoreCache, i int) {
-	sl := k.src.Labels[i]
-	for j, tl := range k.tgt.Labels {
-		if cache != nil {
-			if ls, ok := cache.Get(sl, tl); ok {
-				k.setLabel(int32(i), int32(j), ls.Score, ls.Kind)
-				continue
-			}
-		}
+// fillLabelRow scores row i of the label matrix through a batch scorer.
+func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, i int) {
+	for j := range k.tgt.Labels {
+		idx := k.lb.idx(int32(i), int32(j))
 		s, kind := ks.Score(int32(i), int32(j))
-		k.setLabel(int32(i), int32(j), s, kind)
-		if cache != nil {
-			cache.Put(sl, tl, lingo.LabelScore{Score: s, Kind: kind})
-		}
+		k.labelScore[idx], k.labelKind[idx] = s, uint8(kind)
 	}
 }
 
@@ -240,7 +172,9 @@ func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, cache *lingo.ScoreCache
 func (k *simKernel) fillPropRow(i int) {
 	sp := k.src.Props[i]
 	for j, tp := range k.tgt.Props {
-		k.setProp(int32(i), int32(j), MatchProperties(sp, tp))
+		idx := k.pb.idx(int32(i), int32(j))
+		p := MatchProperties(sp, tp)
+		k.propScore[idx], k.propKind[idx] = p.Score, uint8(p.Kind)
 	}
 }
 
@@ -250,13 +184,15 @@ func (k *simKernel) fillPropRow(i int) {
 // then shared read-only — Score is concurrency-safe — so workers need no
 // matcher clones. Rows are independent and every entry is a pure function
 // of its two vocabulary entries, so every worker count fills the same
-// matrices.
-func (k *simKernel) fill(names *lingo.NameMatcher, cache *lingo.ScoreCache, par int) {
+// matrices. Nothing carries label scores from one match to the next: a
+// shared memo's lookup costs more than the fresh score it would save
+// (DESIGN.md §5.9).
+func (k *simKernel) fill(names *lingo.NameMatcher, par int) {
 	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
 	nl := len(k.src.Labels)
 	fanOut(par, nl+len(k.src.Props), func(i int) bool {
 		if i < nl {
-			k.fillLabelRow(ks, cache, i)
+			k.fillLabelRow(ks, i)
 		} else {
 			k.fillPropRow(i - nl)
 		}

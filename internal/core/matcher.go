@@ -39,12 +39,8 @@ type Matcher struct {
 	// bit-identical tables — every cell is a pure function of the cells
 	// of strictly smaller source subtrees, so only the schedule changes.
 	Parallelism int
-	// Scores is an optional shared label-pair score cache consulted (and
-	// fed) while the interned similarity kernel is filled, so repeated
-	// vocabulary across many matches on one long-lived handle is scored
-	// once. The cache is concurrency-safe; every matcher sharing one must
-	// use the same thesaurus and tuning (the public package's Engine
-	// guarantees this).
+	// Scores is ignored: the kernel scores every label pair afresh. It is
+	// kept only because benchmark/replay.go still sets it.
 	Scores *lingo.ScoreCache
 	// Trace receives a phase span for the kernel interning and pair-table
 	// fill of each Tree call (the Fig. 3 pipeline stages). Nil — the
@@ -64,11 +60,6 @@ type Matcher struct {
 	// CompiledSchema artifacts of the current call, skipping the intern
 	// walk for schemas compiled once up front.
 	Interner func(root *xmltree.Node) *Interned
-	// Precision selects the storage width of the kernel score matrices:
-	// PrecisionFloat64 (the zero value) is exact — tables are bit-identical
-	// to scoring every cell directly; PrecisionFloat32 halves kernel memory
-	// at float32 rounding tolerance (see the Precision type).
-	Precision Precision
 }
 
 // parallelCutoff is the minimum pair-table size (cells) worth fanning out;
@@ -237,8 +228,8 @@ func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
 	pprof.Do(context.Background(), r.profileLabels("kernel"), func(context.Context) {
 		si, ti = m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes)
 		if cells >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kern = newKernelFrom(si, ti, m.Precision, r.buf)
-			r.kern.fill(m.Names, m.Scores, par)
+			r.kern = newKernelFrom(si, ti, r.buf)
+			r.kern.fill(m.Names, par)
 		}
 	})
 	if sp != nil {

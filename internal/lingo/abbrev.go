@@ -45,9 +45,7 @@ func IsAbbreviationOf(short, long string) bool {
 	if s[0] != l[0] {
 		return false
 	}
-	subseq := IsSubsequence(s, l)
-	skeleton := strings.HasPrefix(consonantSkeleton(l), s) || s == consonantSkeleton(l)
-	if !subseq && !skeleton {
+	if !IsSubsequence(s, l) && !hasSkeletonPrefix(l, s) {
 		return false
 	}
 	if strings.HasPrefix(l, s) {
@@ -66,22 +64,28 @@ var irregular = map[string]string{
 	"pkg": "package",
 }
 
-// consonantSkeleton removes interior vowels from a word, keeping the first
-// character: "quantity" → "qntty", "order" → "ordr".
-func consonantSkeleton(w string) string {
-	if w == "" {
-		return ""
+// hasSkeletonPrefix reports whether s is a prefix of w's consonant
+// skeleton — w's first byte followed by its non-vowel bytes, so "qntty" for
+// "quantity" — walking w in place instead of building the skeleton.
+func hasSkeletonPrefix(w, s string) bool {
+	if s == "" {
+		return true
 	}
-	var b strings.Builder
-	b.WriteByte(w[0])
-	for i := 1; i < len(w); i++ {
+	if w == "" || w[0] != s[0] {
+		return false
+	}
+	k := 1
+	for i := 1; i < len(w) && k < len(s); i++ {
 		switch w[i] {
 		case 'a', 'e', 'i', 'o', 'u':
 		default:
-			b.WriteByte(w[i])
+			if w[i] != s[k] {
+				return false
+			}
+			k++
 		}
 	}
-	return b.String()
+	return k == len(s)
 }
 
 // AbbrevMatch reports whether either label abbreviates or acronymizes the

@@ -28,8 +28,9 @@ var symmetryLabels = []string{
 	"ThisIsAnExtremelyLongSchemaElementLabelThatExceedsTheStackBufferLimitOfTheStringMetricsByAGoodMargin",
 }
 
-// The hybrid kernel and the Engine's score cache both store one entry per
-// unordered label pair, which is only sound if Match is symmetric. Pin it.
+// The NameMatcher memoizes one score per unordered token pair, and a
+// swapped match must score its labels alike; both need a symmetric Match.
+// Pin it.
 func TestNameMatchSymmetric(t *testing.T) {
 	m := matcher()
 	for _, a := range symmetryLabels {

@@ -247,7 +247,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // GaugeFunc registers a pull-style gauge evaluated at snapshot time — the
 // zero-hot-path-cost way to expose counters another subsystem already
-// maintains (the Engine's label-score cache). Re-registering a name
+// maintains (the Go runtime's statistics). Re-registering a name
 // replaces the function.
 func (r *Registry) GaugeFunc(name string, f func() int64) {
 	r.mu.Lock()

@@ -420,7 +420,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"qmatch_matches_total 1",
-		"qmatch_label_cache_entries",
 		`qmatchd_http_requests_total{route="match",code="200"} 1`,
 		`qmatchd_http_request_duration_seconds_bucket{route="match",le="+Inf"} 1`,
 		"qmatchd_http_queue_depth",

@@ -12,15 +12,20 @@ import (
 // semantics. Phase wall time is keyed by a phase label:
 // qmatch_phase_ns_total{phase="parse|intern|pairtable|select|compile|prefilter"}.
 const (
-	MetricMatches        = "qmatch_matches_total"
-	MetricCancelled      = "qmatch_matches_cancelled_total"
-	MetricCells          = "qmatch_pairtable_cells_total"
-	MetricDuration       = "qmatch_match_duration_seconds"
-	MetricInflight       = "qmatch_inflight_matches"
-	MetricWorkers        = "qmatch_matchall_workers"
+	MetricMatches   = "qmatch_matches_total"
+	MetricCancelled = "qmatch_matches_cancelled_total"
+	MetricCells     = "qmatch_pairtable_cells_total"
+	MetricDuration  = "qmatch_match_duration_seconds"
+	MetricInflight  = "qmatch_inflight_matches"
+	MetricWorkers   = "qmatch_matchall_workers"
+)
+
+// Label-cache metric names that no registry registers, so MetricValue
+// reports them absent. The Engine keeps no label cache; these are kept
+// only because benchmark/run.go still reads them.
+const (
 	MetricCacheHits      = "qmatch_label_cache_hits_total"
 	MetricCacheMisses    = "qmatch_label_cache_misses_total"
-	MetricCacheEntries   = "qmatch_label_cache_entries"
 	MetricCacheEvictions = "qmatch_label_cache_evictions_total"
 )
 

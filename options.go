@@ -112,34 +112,15 @@ func LoadThesaurusFile(path string) (*Thesaurus, error) {
 	return LoadThesaurus(f)
 }
 
-// KernelPrecision selects the storage width of the hybrid matcher's
-// kernel score matrices (the interned label/property similarity planes).
-type KernelPrecision = core.Precision
-
-const (
-	// Float64 stores kernel scores at full width — the default, with pair
-	// tables bit-identical to scoring every cell directly.
-	Float64 KernelPrecision = core.PrecisionFloat64
-	// Float32 stores kernel scores at half width: on vocabulary-heavy
-	// workloads the score planes dominate kernel memory, and scores read
-	// back within float32 rounding (≤6e-8 for values in [0,1], pinned by
-	// the tolerance tests) — far below any selection threshold's
-	// discrimination, so reported correspondences are unaffected in
-	// practice.
-	Float32 KernelPrecision = core.PrecisionFloat32
-)
-
 type config struct {
 	alg                Algorithm
 	weights            *Weights
 	childThreshold     *float64
 	selectionThreshold *float64
-	precision          KernelPrecision
 	rematchState       bool
 	custom             *Thesaurus
 	noBuiltin          bool
 	parallelism        int
-	labelCacheSize     int
 	logger             *slog.Logger
 	obsMetrics         bool
 	obsTracing         bool
@@ -166,14 +147,8 @@ func (c *config) validate() error {
 	if c.selectionThreshold != nil && (*c.selectionThreshold < 0 || *c.selectionThreshold > 1) {
 		return fmt.Errorf("qmatch: selection threshold %v outside [0,1]", *c.selectionThreshold)
 	}
-	if c.precision != Float64 && c.precision != Float32 {
-		return fmt.Errorf("qmatch: unknown kernel precision %d", c.precision)
-	}
 	if c.parallelism < 0 {
 		return fmt.Errorf("qmatch: negative parallelism %d", c.parallelism)
-	}
-	if c.labelCacheSize < 0 {
-		return fmt.Errorf("qmatch: negative label cache size %d", c.labelCacheSize)
 	}
 	return nil
 }
@@ -202,31 +177,10 @@ func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
 }
 
-// WithLabelCacheSize bounds the Engine's shared label-score cache to
-// roughly n label pairs. The cache memoizes the linguistic score of every
-// unique (source label, target label) combination across all Match and
-// MatchAll calls of the Engine's lifetime, so repeated vocabulary in a
-// batch grid — or across requests on a long-lived serving Engine — is
-// scored once. 0 (the default) selects a generous built-in bound (2^18
-// pairs); negative sizes are rejected at Engine construction. Cache
-// hit/miss counters are exposed as metrics (read one with
-// Engine.MetricValue(MetricCacheHits) and friends).
-func WithLabelCacheSize(n int) Option {
-	return func(c *config) { c.labelCacheSize = n }
-}
-
 // WithChildThreshold overrides the Fig. 3 threshold gating which child
 // matches count toward the children axis (hybrid algorithm only).
 func WithChildThreshold(v float64) Option {
 	return func(c *config) { c.childThreshold = &v }
-}
-
-// WithKernelPrecision selects the storage width of the similarity-kernel
-// score matrices (hybrid algorithm only). The default Float64 keeps every
-// pair table bit-identical to the reference computation; Float32 halves
-// the kernel's score memory at float32 rounding tolerance.
-func WithKernelPrecision(p KernelPrecision) Option {
-	return func(c *config) { c.precision = p }
 }
 
 // WithSelectionThreshold overrides the minimum score for a pair to be
@@ -248,8 +202,7 @@ type Observer struct {
 	// match counts, duration histograms, pair-table cell counters and
 	// per-phase wall time. Read the registry with Engine.WriteMetrics
 	// (Prometheus text), Engine.WriteMetricsJSON, or expvar via
-	// Engine.PublishExpvar. The label-cache gauges are always registered
-	// (they are pull-only and cost nothing at match time).
+	// Engine.PublishExpvar.
 	Metrics bool
 	// Tracing attaches a MatchTrace — per-phase spans with wall time,
 	// node/cell counts and worker parallelism — to every Report.

@@ -135,7 +135,7 @@ type Report struct {
 // Match matches the source schema against the target schema with the
 // hybrid QMatch algorithm (or a configured alternative) and returns the
 // report. Option-less calls share one lazily-built default Engine (warm
-// thesaurus, matcher pool and label cache are reused across calls); calls
+// thesaurus and matcher pool are reused across calls); calls
 // with options build a throwaway Engine — services with a fixed non-default
 // configuration should build one Engine with NewEngine and reuse it. Match
 // panics with the error NewEngine would return when the options are
