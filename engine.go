@@ -167,10 +167,9 @@ func (e *Engine) Parallelism() int { return e.parallelism }
 // one call: inner bounds the hybrid pair-table worker pool, ctx's Done
 // channel aborts in-flight fills, and interner (nil interns at match
 // entry) serves compiled vocabularies. For the hybrid algorithm h is the
-// same instance as alg, typed — the handle the match path writes its
-// trace into and drops memoized tables through; the baselines return a
-// nil h. The release function gives the NameMatcher back; the matcher
-// must not be used after release.
+// same instance as alg, typed — the handle the match path fills, selects
+// and traces through; the baselines return a nil h. The release function
+// gives the NameMatcher back; the matcher must not be used after release.
 func (e *Engine) algorithm(ctx context.Context, inner int, interner func(*xmltree.Node) *core.Interned) (alg match.Algorithm, h *core.Hybrid, release func()) {
 	switch e.cfg.alg {
 	case Linguistic:
@@ -213,34 +212,32 @@ func (e *Engine) hybrid(inner int) (*core.Hybrid, func()) {
 	if e.cfg.selectionThreshold != nil {
 		h.SelectionThreshold = *e.cfg.selectionThreshold
 	}
-	// Release drops the memoized pair tables first so their arena buffers
-	// go back to the pool along with the NameMatcher.
-	return h, func() {
-		h.ResetCache()
-		e.names.Put(h.Matcher.Names)
-	}
+	return h, func() { e.names.Put(h.Matcher.Names) }
 }
 
 // reportFrom runs one matcher over one schema pair and assembles the
-// public Report (selected correspondences sorted by descending score,
-// plus the root tree QoM).
-func reportFrom(alg match.Algorithm, src, tgt *Schema) *Report {
-	cs := alg.Match(src.root, tgt.root)
+// public Report: the correspondences in match.Select's order (descending
+// score, then source and target path) and the root tree QoM. The hybrid
+// (h, the same instance as alg) reads both from one pair table — table
+// when Rematch computed it, a fresh fill otherwise — and hands that table
+// back for the caller to release or park as rematch state. The baselines
+// compute each output in its own call and return a nil table.
+func reportFrom(alg match.Algorithm, h *core.Hybrid, table *core.Result, src, tgt *Schema) (*Report, *core.Result) {
+	var cs []match.Correspondence
+	var treeQoM float64
+	if h != nil {
+		if table == nil {
+			table = h.Tree(src.root, tgt.root)
+		}
+		cs, treeQoM = h.Select(table), table.Root.Value
+	} else {
+		cs, treeQoM = alg.Match(src.root, tgt.root), alg.TreeScore(src.root, tgt.root)
+	}
 	out := make([]Correspondence, len(cs))
 	for i, c := range cs {
 		out[i] = Correspondence{Source: c.Source, Target: c.Target, Score: c.Score}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Source < out[j].Source
-	})
-	return &Report{
-		Algorithm:       alg.Name(),
-		Correspondences: out,
-		TreeQoM:         alg.TreeScore(src.root, tgt.root),
-	}
+	return &Report{Algorithm: alg.Name(), Correspondences: out, TreeQoM: treeQoM}, table
 }
 
 // Match matches one schema pair with the engine's frozen configuration.
@@ -269,11 +266,13 @@ func (e *Engine) match(ctx context.Context, src, tgt *Schema, csrc, ctgt *Compil
 	}
 	alg, h, release := e.algorithm(ctx, e.parallelism, interner)
 	defer release()
-	report := e.run(ctx, alg, h, src, tgt)
-	if csrc != nil && ctx.Err() == nil {
-		e.attachRematchState(report, h, csrc, ctgt)
+	report, table := e.run(ctx, alg, h, nil, src, tgt)
+	err := ctx.Err()
+	if err != nil {
+		csrc = nil // a partial table seeds no rematch
 	}
-	return report, ctx.Err()
+	e.settle(report, table, csrc, ctgt)
+	return report, err
 }
 
 // observing reports whether any instrumentation is enabled; when false the
@@ -286,13 +285,13 @@ func (e *Engine) observing() bool {
 // observer configured it reduces to reportFrom — one boolean check, zero
 // extra allocations. ctx carries correlation only (trace/request IDs, the
 // phase cell and trace sink of qmatchd's debug plane); cancellation was
-// wired into the matcher when algorithm borrowed it. h is alg's hybrid
-// handle, nil for the baselines.
-func (e *Engine) run(ctx context.Context, alg match.Algorithm, h *core.Hybrid, src, tgt *Schema) *Report {
+// wired into the matcher when algorithm borrowed it. h, table and the
+// returned table are reportFrom's.
+func (e *Engine) run(ctx context.Context, alg match.Algorithm, h *core.Hybrid, table *core.Result, src, tgt *Schema) (*Report, *core.Result) {
 	if !e.observing() {
-		return reportFrom(alg, src, tgt)
+		return reportFrom(alg, h, table, src, tgt)
 	}
-	return e.runObserved(ctx, alg, h, src, tgt)
+	return e.runObserved(ctx, alg, h, table, src, tgt)
 }
 
 // runObserved is the instrumented match path: a phase trace is recorded
@@ -305,7 +304,7 @@ func (e *Engine) run(ctx context.Context, alg match.Algorithm, h *core.Hybrid, s
 // stamped on the trace and every log line, the phase cell mirroring the
 // current phase into /debug/requests, and the trace sink that hands the
 // finished trace back for /debug/slow stitching.
-func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, h *core.Hybrid, src, tgt *Schema) *Report {
+func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, h *core.Hybrid, table *core.Result, src, tgt *Schema) (*Report, *core.Result) {
 	var tr *obs.Trace
 	var matchSpan *obs.ActiveSpan
 	if e.tracing || e.collect {
@@ -324,7 +323,7 @@ func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, h *core.H
 	}
 	e.em.inflight.Add(1) // nil-safe: no-op without Observer.Metrics
 	start := time.Now()
-	report := reportFrom(alg, src, tgt)
+	report, table := reportFrom(alg, h, table, src, tgt)
 	elapsed := time.Since(start)
 	e.em.inflight.Add(-1)
 	matchSpan.End()
@@ -375,7 +374,7 @@ func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, h *core.H
 			slog.Int("correspondences", len(report.Correspondences)),
 			slog.Float64("treeQoM", report.TreeQoM))
 	}
-	return report
+	return report, table
 }
 
 // MatchContext is Match with deadline and cancellation propagation: the
@@ -398,7 +397,9 @@ func (e *Engine) MatchContext(ctx context.Context, src, tgt *Schema) (*Report, e
 func (e *Engine) QoM(src, tgt *Schema) QoMBreakdown {
 	h, release := e.hybrid(e.parallelism)
 	defer release()
-	q := h.Tree(src.root, tgt.root).Root
+	r := h.Tree(src.root, tgt.root)
+	q := r.Root
+	r.Release()
 	return QoMBreakdown{
 		Label:      q.Label,
 		Properties: q.Properties,
@@ -437,6 +438,7 @@ func (e *Engine) ExplainTop(src, tgt *Schema, n int) string {
 	h, release := e.hybrid(e.parallelism)
 	defer release()
 	res := h.Tree(src.root, tgt.root)
+	defer res.Release()
 	return h.Matcher.ExplainTop(res, n)
 }
 
@@ -517,12 +519,9 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 			alg, h, release := e.algorithm(ctx, inner, interner)
 			defer release()
 			for jb := range ch {
-				if h != nil {
-					// Distinct pairs never reuse each other's tables;
-					// dropping them bounds memory over large batches.
-					h.ResetCache()
-				}
-				out[jb.i][jb.j] = e.run(ctx, alg, h, sources[jb.i], targets[jb.j])
+				rep, table := e.run(ctx, alg, h, nil, sources[jb.i], targets[jb.j])
+				table.Release() // nil for the baselines
+				out[jb.i][jb.j] = rep
 				completed.Add(1)
 			}
 		}()

@@ -2,6 +2,7 @@ package qmatch_test
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -280,5 +281,35 @@ func TestEngineRetainsNoLabelState(t *testing.T) {
 	runtime.KeepAlive(pairs)
 	if grown >= 512<<10 {
 		t.Errorf("heap grew %d KiB over 16 matches on one Engine, want < 512 KiB", grown>>10)
+	}
+}
+
+// A warm Engine.Match of an 80×1000 pair allocates a small fraction of its
+// 9 MB pair table: the table comes from the arena pool, and selection
+// copies only the cells that pass the label gate and the threshold. The
+// 2 MiB ceiling trips if selection copies the table again (~12 MiB per
+// match) or the fill stops drawing from the pool. The smallest of 5 runs
+// discounts a pool refill after a GC.
+func TestLargeMatchAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs sync.Pool retention and alloc counts")
+	}
+	src := qmatch.FromTree(synth.Generate(synth.Config{Seed: 11, Elements: 80, MaxDepth: 6, MaxChildren: 8}))
+	tgt := qmatch.FromTree(synth.Generate(synth.Config{Seed: 12, Elements: 1000, MaxDepth: 7, MaxChildren: 10}))
+	eng, err := qmatch.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Match(src, tgt) // warm the name matchers and the buffer pool
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng.Match(src, tgt)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 2<<20 {
+		t.Errorf("80x1000 Engine.Match allocates %d KiB, regression ceiling is 2048 KiB", least>>10)
 	}
 }

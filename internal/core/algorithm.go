@@ -3,6 +3,7 @@ package core
 import (
 	"qmatch/internal/lingo"
 	"qmatch/internal/match"
+	"qmatch/internal/obs"
 	"qmatch/internal/xmltree"
 )
 
@@ -10,19 +11,16 @@ import (
 // with the linguistic and structural baselines: correspondences are the
 // one-to-one selection over the QoM pair table, and the tree score is the
 // root QoM — "the total match value (QoM) for the entire source schema
-// tree ... presented to the user" (paper §4).
+// tree ... presented to the user" (paper §4). Match, TreeScore and Pairs
+// each fill one pair table and release it before they return, so a Hybrid
+// keeps no table between calls; a caller that wants both outputs of one
+// table fills it with Tree and reads them itself (Select, Result.Root).
+// Like the underlying NameMatcher caches, a Hybrid is not safe for
+// concurrent use — wrap it in the public package's Engine (or give each
+// goroutine its own instance) for concurrent matching.
 type Hybrid struct {
 	*Matcher
 
-	// Keyed result memo: Match followed by TreeScore on the same pair
-	// (the common evaluation pattern) computes the pair table once, and
-	// alternating among several schema pairs keeps every table warm.
-	// The memo grows with the number of distinct pairs matched; call
-	// ResetCache to drop it. Like the underlying NameMatcher caches,
-	// a Hybrid is not safe for concurrent use — wrap it in the public
-	// package's Engine (or give each goroutine its own instance) for
-	// concurrent matching.
-	results map[resultKey]*Result
 	// SelectionThreshold is the minimum QoM for a pair to be reported as
 	// a correspondence. Default 0.75 — above the 0.7 floor that two
 	// same-typed but semantically unrelated leaves reach on structural
@@ -53,54 +51,52 @@ func NewHybrid(th *lingo.Thesaurus) *Hybrid {
 // Name implements match.Algorithm.
 func (h *Hybrid) Name() string { return "hybrid" }
 
-// resultKey identifies one memoized pair table by tree identity.
-type resultKey struct{ src, tgt *xmltree.Node }
-
-// ResetCache drops the memoized pair tables, releasing their pooled
-// buffers for the next match. Timing harnesses call this between
-// repetitions so each measurement covers a full computation; the Engine
-// calls it between jobs and at handle release.
-func (h *Hybrid) ResetCache() {
-	for _, r := range h.results {
-		r.Release()
+// Select derives the one-to-one correspondences from a filled pair table
+// in place. One walk over the computed cells keeps those that carry label
+// evidence (when RequireLabelEvidence is set) and reach SelectionThreshold
+// as match.Select candidates, so selection copies candidates, not cells.
+// The select span counts every cell that passes the label gate, below the
+// threshold too, and the correspondences accepted.
+func (h *Hybrid) Select(r *Result) []match.Correspondence {
+	sp := h.Trace.StartSpan(obs.PhaseSelect)
+	var cands []match.ScoredPair
+	var gated int64
+	m := len(r.tgtNodes)
+	for base := 0; base < len(r.table); base += m {
+		s := r.srcNodes[base/m]
+		for j, t := range r.tgtNodes {
+			q := &r.table[base+j]
+			if !r.done[base+j] || (h.RequireLabelEvidence && q.LabelKind == lingo.None) {
+				continue
+			}
+			gated++
+			if q.Value >= h.SelectionThreshold {
+				cands = append(cands, match.ScoredPair{Source: s, Target: t, Score: q.Value})
+			}
+		}
 	}
-	h.results = nil
-}
-
-// tree returns the pair table for src/tgt, reusing the memoized result
-// when the same pointers are matched again. Callers must not mutate the
-// trees between calls.
-func (h *Hybrid) tree(src, tgt *xmltree.Node) *Result {
-	key := resultKey{src, tgt}
-	if res, ok := h.results[key]; ok {
-		return res
+	out := match.Select(cands, h.SelectionThreshold)
+	if sp != nil {
+		sp.SetCells(gated)
+		sp.SetSelected(len(out))
 	}
-	res := h.Tree(src, tgt)
-	if h.results == nil {
-		h.results = make(map[resultKey]*Result)
-	}
-	h.results[key] = res
-	return res
+	sp.End()
+	return out
 }
 
 // Match implements match.Algorithm.
 func (h *Hybrid) Match(src, tgt *xmltree.Node) []match.Correspondence {
-	res := h.tree(src, tgt)
-	pairs := res.Pairs()
-	scored := make([]match.ScoredPair, 0, len(pairs))
-	for _, p := range pairs {
-		if h.RequireLabelEvidence && p.QoM.LabelKind == lingo.None {
-			continue
-		}
-		scored = append(scored, match.ScoredPair{Source: p.Source, Target: p.Target, Score: p.QoM.Value})
-	}
-	return match.SelectTraced(scored, h.SelectionThreshold, h.Trace)
+	r := h.Tree(src, tgt)
+	defer r.Release()
+	return h.Select(r)
 }
 
 // Pairs returns the full QoM table as scored pairs — the granularity
 // composite matchers aggregate over.
 func (h *Hybrid) Pairs(src, tgt *xmltree.Node) []match.ScoredPair {
-	pairs := h.tree(src, tgt).Pairs()
+	r := h.Tree(src, tgt)
+	defer r.Release()
+	pairs := r.Pairs()
 	out := make([]match.ScoredPair, len(pairs))
 	for i, p := range pairs {
 		out[i] = match.ScoredPair{Source: p.Source, Target: p.Target, Score: p.QoM.Value}
@@ -110,7 +106,9 @@ func (h *Hybrid) Pairs(src, tgt *xmltree.Node) []match.ScoredPair {
 
 // TreeScore implements match.Algorithm.
 func (h *Hybrid) TreeScore(src, tgt *xmltree.Node) float64 {
-	return h.tree(src, tgt).Root.Value
+	r := h.Tree(src, tgt)
+	defer r.Release()
+	return r.Root.Value
 }
 
 var _ match.Algorithm = (*Hybrid)(nil)

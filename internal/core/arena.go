@@ -13,9 +13,9 @@ import (
 // those slabs so one pool Get/Put recycles the whole set: a Result
 // acquires a buffer set at construction and returns it wholesale through
 // Release. Unreleased Results stay correct and are simply collected by
-// the GC (the pool never sees them); releasing is an optimization the
-// Engine, the Hybrid memo, and the benchmarks apply at their natural
-// end-of-match points.
+// the GC (the pool never sees them); releasing is an optimization each
+// table's owner applies when its match ends: the Engine, the Hybrid
+// adapter's Match/TreeScore/Pairs, and the benchmarks.
 //
 // Reused slabs are NOT zeroed except where a reader could observe stale
 // data: done flags (they gate every table read) and the index maps (they
@@ -96,13 +96,13 @@ func acquireBuffers(r *Result) *matchBuffers {
 // The Result must not be used afterwards: its table, index and kernel
 // state are detached (lookups report not-found rather than reading
 // recycled memory), only the scalar fields — Root, Source, Target — stay
-// meaningful. Release is idempotent; never releasing is safe and merely
-// forgoes the reuse.
+// meaningful. Release is idempotent and a no-op on a nil Result; never
+// releasing is safe and merely forgoes the reuse.
 func (r *Result) Release() {
-	b := r.buf
-	if b == nil {
+	if r == nil || r.buf == nil {
 		return
 	}
+	b := r.buf
 	r.buf = nil
 	// Drop node references so a pooled buffer does not pin schema trees.
 	clear(b.srcIdx)

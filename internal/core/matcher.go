@@ -48,10 +48,11 @@ type Matcher struct {
 	// zero allocations.
 	Trace *obs.Trace
 	// Done aborts an in-flight fill when closed: the pair-table sweep
-	// stops between source rows (sequential) or height levels (parallel),
-	// leaving the remaining cells uncomputed and the trace span marked
-	// partial with the cell count filled so far. Nil — the default —
-	// never aborts. The Engine wires this to each call's ctx.Done().
+	// stops between source rows (sequential) or between height levels and
+	// the rows of a level (parallel), leaving the remaining cells
+	// uncomputed and the trace span marked partial with the cell count
+	// filled so far. Nil — the default — never aborts. The Engine wires
+	// this to each call's ctx.Done().
 	Done <-chan struct{}
 	// Interner resolves a precompiled per-side vocabulary for a tree root.
 	// Nil (the default), a nil return, or an Interned whose node count

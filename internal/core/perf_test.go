@@ -39,15 +39,3 @@ func BenchmarkTopPairs(b *testing.B) {
 		res.TopPairs(10)
 	}
 }
-
-// BenchmarkPairTableReuse measures the Hybrid single-entry memo: Match
-// followed by TreeScore on the same pair computes one table.
-func BenchmarkPairTableReuse(b *testing.B) {
-	p := dataset.DCMDPair()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := NewHybrid(nil)
-		h.Match(p.Source, p.Target)
-		h.TreeScore(p.Source, p.Target)
-	}
-}

@@ -230,26 +230,3 @@ func (m *Matcher) RematchSource(prev *Result, newSrc *xmltree.Node) (*Result, Re
 	sp.End()
 	return r, stats
 }
-
-// Adopt seeds the Hybrid's result memo with an externally computed table
-// (a rematched Result), so the following Match/TreeScore on the same pair
-// run selection straight off it.
-func (h *Hybrid) Adopt(r *Result) {
-	if h.results == nil {
-		h.results = make(map[resultKey]*Result)
-	}
-	h.results[resultKey{r.Source, r.Target}] = r
-}
-
-// Take removes and returns the memoized result of a pair without releasing
-// its buffers — the Engine detaches results it must keep alive as rematch
-// state before ResetCache releases the rest. Nil when the pair was never
-// matched on this instance.
-func (h *Hybrid) Take(src, tgt *xmltree.Node) *Result {
-	key := resultKey{src, tgt}
-	r := h.results[key]
-	if r != nil {
-		delete(h.results, key)
-	}
-	return r
-}

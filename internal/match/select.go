@@ -3,7 +3,6 @@ package match
 import (
 	"sort"
 
-	"qmatch/internal/obs"
 	"qmatch/internal/xmltree"
 )
 
@@ -50,20 +49,6 @@ func Select(pairs []ScoredPair, threshold float64) []Correspondence {
 			Score:  p.Score,
 		})
 	}
-	return out
-}
-
-// SelectTraced is Select with a selection-phase span recorded into tr:
-// candidate pair count (Cells), accepted correspondence count (Selected)
-// and wall time. A nil trace reduces to plain Select.
-func SelectTraced(pairs []ScoredPair, threshold float64, tr *obs.Trace) []Correspondence {
-	sp := tr.StartSpan(obs.PhaseSelect)
-	out := Select(pairs, threshold)
-	if sp != nil {
-		sp.SetCells(int64(len(pairs)))
-		sp.SetSelected(len(out))
-	}
-	sp.End()
 	return out
 }
 

@@ -288,9 +288,9 @@ type RefreshStat struct {
 // them incrementally through e (Engine.Rematch): unchanged regions of the
 // evolved schema are copied from the retained pair tables, only changed
 // subtrees are rescored. Refreshes are reported per pair, sorted by id.
-// A cached report the engine cannot rematch (e.g. it carries no pair-table
-// state because e was not built WithRematchState) is simply dropped — the
-// registry never serves a stale match.
+// A cached report the engine cannot rematch (it carries no pair-table
+// state because e was not built WithRematchState, or another Engine
+// matched it) is simply dropped — the registry never serves a stale match.
 func (r *Registry) PutRematch(id string, cs *qmatch.CompiledSchema, e *qmatch.Engine) ([]RefreshStat, error) {
 	type seed struct {
 		key   matchKey

@@ -135,9 +135,8 @@ func publicMatchTrace(mt *obs.MatchTrace) *MatchTrace {
 
 // WriteMetrics writes the Engine's metrics registry in the Prometheus text
 // exposition format — counters and gauges as single samples, the duration
-// histogram as cumulative _bucket/_sum/_count series. The label-score
-// cache gauges are always present; per-match counters fill in when the
-// Engine was built with Observer.Metrics.
+// histogram as cumulative _bucket/_sum/_count series. Only an Engine
+// built with Observer.Metrics registers metrics; any other writes nothing.
 func (e *Engine) WriteMetrics(w io.Writer) error {
 	return e.metrics.WritePrometheus(w)
 }

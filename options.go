@@ -153,8 +153,8 @@ func (c *config) validate() error {
 	return nil
 }
 
-// WithAlgorithm selects the matcher: Hybrid (default), Linguistic or
-// Structural.
+// WithAlgorithm selects the matcher: Hybrid (default), Linguistic,
+// Structural or Cupid.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) { c.alg = a }
 }

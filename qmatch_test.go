@@ -64,6 +64,13 @@ func TestMatchAlgorithmSelection(t *testing.T) {
 		if len(r.Correspondences) == 0 {
 			t.Errorf("%s found nothing", a)
 		}
+		// Descending score, then ascending source path.
+		for i := 1; i < len(r.Correspondences); i++ {
+			p, c := r.Correspondences[i-1], r.Correspondences[i]
+			if c.Score > p.Score || (c.Score == p.Score && c.Source < p.Source) {
+				t.Errorf("%s: correspondence %d %v out of order after %v", a, i, c, p)
+			}
+		}
 	}
 }
 

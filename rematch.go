@@ -34,7 +34,11 @@ type RematchStats struct {
 
 // rematchState is the retained pair table a WithRematchState Engine
 // attaches to compiled-path Reports — the seed of the next Rematch call.
+// engine is the Engine that filled the table: its cells are scored under
+// that Engine's weights, thresholds and thesaurus, so no other Engine may
+// copy them.
 type rematchState struct {
+	engine   *Engine
 	result   *core.Result
 	src, tgt *CompiledSchema
 }
@@ -49,18 +53,18 @@ func WithRematchState() Option {
 	return func(c *config) { c.rematchState = true }
 }
 
-// attachRematchState detaches the hybrid matcher's pair table for the just
-// matched pair and parks it on the Report, on Engines opted in via
-// WithRematchState (h is nil for the baselines, which keep no table). Must
-// run before the algorithm handle is released (the release drops all
-// un-taken tables back to the arena pool).
-func (e *Engine) attachRematchState(rep *Report, h *core.Hybrid, src, tgt *CompiledSchema) {
-	if !e.cfg.rematchState || rep == nil || h == nil {
+// settle ends the life of the pair table a hybrid match filled and
+// selected from. On an Engine built WithRematchState it parks the table on
+// the Report as the seed of the next Rematch, provided src and tgt name
+// the compiled sides; callers pass nil for them on the parse path and
+// after a cancelled match, whose table is partial. Every other table goes
+// back to the arena pool; table is nil for the baselines.
+func (e *Engine) settle(rep *Report, table *core.Result, src, tgt *CompiledSchema) {
+	if table != nil && src != nil && e.cfg.rematchState {
+		rep.state = &rematchState{engine: e, result: table, src: src, tgt: tgt}
 		return
 	}
-	if r := h.Take(src.art.Root, tgt.art.Root); r != nil {
-		rep.state = &rematchState{result: r, src: src, tgt: tgt}
-	}
+	table.Release()
 }
 
 // Rematch matches prev's schema pair with one side replaced by an evolved
@@ -71,7 +75,9 @@ func (e *Engine) attachRematchState(rep *Report, h *core.Hybrid, src, tgt *Compi
 // rescored; Report.Rematch breaks down the savings. prev must come from a
 // compiled-path match on an Engine built WithRematchState (Rematch's own
 // reports carry state too, so evolution chains keep rematching
-// incrementally). prev remains valid afterwards.
+// incrementally), and from this Engine: another Engine's table is scored
+// under that Engine's configuration, so Rematch refuses it. prev remains
+// valid afterwards.
 func (e *Engine) Rematch(prev *Report, old, new *CompiledSchema) (*Report, error) {
 	if old == nil || new == nil {
 		return nil, errors.New("qmatch: rematch: nil schema")
@@ -80,6 +86,9 @@ func (e *Engine) Rematch(prev *Report, old, new *CompiledSchema) (*Report, error
 		return nil, errors.New("qmatch: rematch: previous report carries no pair-table state (match on an Engine built WithRematchState)")
 	}
 	st := prev.state
+	if st.engine != e {
+		return nil, errors.New("qmatch: rematch: previous report was matched on another Engine")
+	}
 	srcCS, tgtCS := st.src, st.tgt
 	target := false
 	switch old.art.Root {
@@ -105,10 +114,7 @@ func (e *Engine) Rematch(prev *Report, old, new *CompiledSchema) (*Report, error
 	if e.collect {
 		e.em.phaseNs[obs.PhaseRematch].Add(time.Since(start).Nanoseconds())
 	}
-	// Seed the matcher's memo with the rematched table: the selection pass
-	// in run() finds it and never refills.
-	h.Adopt(r)
-	rep := e.run(context.Background(), h, h, srcCS.schema, tgtCS.schema)
+	rep, table := e.run(context.Background(), h, h, r, srcCS.schema, tgtCS.schema)
 	side := "source"
 	if target {
 		side = "target"
@@ -121,6 +127,6 @@ func (e *Engine) Rematch(prev *Report, old, new *CompiledSchema) (*Report, error
 		DirtyNodes:    stats.DirtyNodes,
 		Full:          stats.Full,
 	}
-	e.attachRematchState(rep, h, srcCS, tgtCS)
+	e.settle(rep, table, srcCS, tgtCS)
 	return rep, nil
 }

@@ -162,4 +162,15 @@ func TestEngineRematchErrors(t *testing.T) {
 	if _, err := eng.Rematch(bare, tgt, tgt); err == nil {
 		t.Fatal("stateless report accepted as rematch seed")
 	}
+
+	// prev's cells were scored under eng's configuration, so another
+	// Engine — even one that retains state — must not copy them.
+	weighted, err := qmatch.NewEngine(qmatch.WithRematchState(),
+		qmatch.WithWeights(qmatch.Weights{Label: 0.7, Properties: 0.1, Level: 0.1, Children: 0.1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := weighted.Rematch(prev, tgt, other); err == nil || !strings.Contains(err.Error(), "another Engine") {
+		t.Fatalf("report from another Engine: %v", err)
+	}
 }
