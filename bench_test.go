@@ -244,12 +244,6 @@ func BenchmarkLinguisticNameMatch(b *testing.B) {
 	}
 }
 
-func BenchmarkLevenshtein(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lingo.Levenshtein("PurchaseOrderNumber", "PurchaseOrderNo")
-	}
-}
-
 func BenchmarkXSDParse(b *testing.B) {
 	doc := xsd.Render(dataset.DCMDOrd())
 	b.ResetTimer()

@@ -3,9 +3,12 @@ package qmatch_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
+	"time"
 
 	"qmatch"
+	"qmatch/internal/dataset"
 )
 
 // MatchContext with a live context must behave exactly like Match: same
@@ -109,5 +112,75 @@ func TestMatchContextRecoversAfterCancellation(t *testing.T) {
 	want := eng.Match(src, tgt)
 	if report.TreeQoM != want.TreeQoM || len(report.Correspondences) != len(want.Correspondences) {
 		t.Errorf("post-cancellation report differs: %+v vs %+v", report, want)
+	}
+}
+
+// proteinSchemas returns the corpus' largest pair, PIR × PDB, whose label
+// kernel takes most of its fill.
+func proteinSchemas() (src, tgt *qmatch.Schema) {
+	p := dataset.ProteinPair()
+	return qmatch.FromTree(p.Source), qmatch.FromTree(p.Target)
+}
+
+func tracingEngine(t *testing.T, par int) *qmatch.Engine {
+	t.Helper()
+	eng, err := qmatch.NewEngine(qmatch.WithParallelism(par), qmatch.WithObserver(qmatch.Observer{Tracing: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// Cancellation reaches the label kernel: a pre-cancelled Protein match
+// stops building it, and its intern span comes back partial.
+func TestMatchContextPreCancelledCutsKernel(t *testing.T) {
+	src, tgt := proteinSchemas()
+	for _, par := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		report, err := tracingEngine(t, par).MatchContext(ctx, src, tgt)
+		if err == nil {
+			t.Fatalf("parallelism %d: expected ctx.Err() from a cancelled context", par)
+		}
+		var intern *qmatch.TraceSpan
+		for i := range report.Trace.Spans {
+			if report.Trace.Spans[i].Phase == "intern" {
+				intern = &report.Trace.Spans[i]
+			}
+		}
+		if intern == nil || !intern.Partial {
+			t.Errorf("parallelism %d: intern span %+v, want one marked partial", par, intern)
+		}
+	}
+}
+
+// A 5 ms deadline cuts a Protein match short inside the label kernel, so
+// the match returns in under half the time of a full one (the fastest of
+// two, measured here on the same engine).
+func TestMatchContextDeadlineCutsKernel(t *testing.T) {
+	src, tgt := proteinSchemas()
+	for _, par := range []int{1, 2} {
+		eng := tracingEngine(t, par)
+		full := time.Duration(math.MaxInt64)
+		for i := 0; i < 2; i++ {
+			start := time.Now()
+			if _, err := eng.MatchContext(context.Background(), src, tgt); err != nil {
+				t.Fatal(err)
+			}
+			full = min(full, time.Since(start))
+		}
+		for i := 0; i < 2; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			start := time.Now()
+			_, err := eng.MatchContext(ctx, src, tgt)
+			elapsed := time.Since(start)
+			cancel()
+			if err == nil {
+				t.Fatalf("parallelism %d: a 5 ms deadline did not cut the match short", par)
+			}
+			if elapsed >= full/2 {
+				t.Errorf("parallelism %d: deadline match returned after %v, want under half of a full match's %v", par, elapsed, full)
+			}
+		}
 	}
 }

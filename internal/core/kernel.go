@@ -186,11 +186,18 @@ func (k *simKernel) fillPropRow(i int) {
 // of its two vocabulary entries, so every worker count fills the same
 // matrices. Nothing carries label scores from one match to the next: a
 // shared memo's lookup costs more than the fresh score it would save
-// (DESIGN.md §5.9).
-func (k *simKernel) fill(names *lingo.NameMatcher, par int) {
-	ks := names.NewKernelScorer(k.src.Labels, k.tgt.Labels)
+// (DESIGN.md §5.9). Once m.Done fires, the scorer's token matrix and the
+// workers stop between rows; fill reports whether every row was scored.
+func (k *simKernel) fill(m *Matcher, par int) bool {
+	ks := m.Names.NewKernelScorer(k.src.Labels, k.tgt.Labels, m.Done)
+	if ks == nil {
+		return false
+	}
 	nl := len(k.src.Labels)
 	fanOut(par, nl+len(k.src.Props), func(i int) bool {
+		if m.aborted() {
+			return false
+		}
 		if i < nl {
 			k.fillLabelRow(ks, i)
 		} else {
@@ -198,4 +205,5 @@ func (k *simKernel) fill(names *lingo.NameMatcher, par int) {
 		}
 		return true
 	})
+	return !m.aborted()
 }

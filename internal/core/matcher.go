@@ -47,12 +47,14 @@ type Matcher struct {
 	// default — disables tracing; the disabled path is a nil-check with
 	// zero allocations.
 	Trace *obs.Trace
-	// Done aborts an in-flight fill when closed: the pair-table sweep
-	// stops between source rows (sequential) or between height levels and
-	// the rows of a level (parallel), leaving the remaining cells
-	// uncomputed and the trace span marked partial with the cell count
-	// filled so far. Nil — the default — never aborts. The Engine wires
-	// this to each call's ctx.Done().
+	// Done aborts an in-flight fill when closed. The label kernel stops
+	// between rows of its token-similarity matrix and between kernel rows,
+	// and the intern span is marked partial. The pair-table sweep stops
+	// between source rows (sequential) or between height levels and the
+	// rows of a level (parallel), leaving the remaining cells uncomputed
+	// and the pairtable span marked partial with the cell count filled so
+	// far. Nil — the default — never aborts. The Engine wires this to each
+	// call's ctx.Done().
 	Done <-chan struct{}
 	// Interner resolves a precompiled per-side vocabulary for a tree root.
 	// Nil (the default), a nil return, or an Interned whose node count
@@ -222,15 +224,22 @@ func (m *Matcher) Tree(src, tgt *xmltree.Node) *Result {
 // amortizes when those cells outnumber the label pairs. A full fill always
 // does (a side has no more distinct labels than nodes); a re-match that
 // rescores a handful of columns does not, and leaves r.kern nil so that
-// computeCols scores its cells through the name matcher directly.
+// computeCols scores its cells through the name matcher directly. A kernel
+// that Done cuts short is dropped (r.kern stays nil, so no cell ever reads
+// an unscored entry) and the intern span is marked partial.
 func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
 	sp := m.Trace.StartSpan(obs.PhaseIntern)
 	var si, ti *Interned
+	partial := false
 	pprof.Do(context.Background(), r.profileLabels("kernel"), func(context.Context) {
 		si, ti = m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes)
 		if cells >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kern = newKernelFrom(si, ti, r.buf)
-			r.kern.fill(m.Names, par)
+			k := newKernelFrom(si, ti, r.buf)
+			if k.fill(m, par) {
+				r.kern = k
+			} else {
+				partial = true
+			}
 		}
 	})
 	if sp != nil {
@@ -239,6 +248,9 @@ func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
 			sp.SetCells(r.kern.logicalCells())
 		}
 		sp.SetWorkers(par)
+		if partial {
+			sp.MarkPartial()
+		}
 	}
 	sp.End()
 }

@@ -2,24 +2,12 @@ package lingo
 
 import "strings"
 
-// Acronym and abbreviation detection. Schema designers routinely shorten
-// labels ("Quantity" → "Qty", "Unit Of Measure" → "UOM", "Purchase Order" →
+// Abbreviation detection. Schema designers routinely shorten labels
+// ("Quantity" → "Qty", "Unit Of Measure" → "UOM", "Purchase Order" →
 // "PO"); the QMatch paper classifies such pairs as *relaxed* label matches.
-// The detectors below are heuristic but conservative: they only fire when
-// the shorter string is structurally derivable from the longer one.
-
-// IsAcronymOf reports whether short is the acronym of the token sequence of
-// long: its letters are exactly the first letters of long's tokens
-// ("UOM" / "Unit Of Measure", "PO" / "Purchase Order"). Comparison is
-// case-insensitive and requires at least two tokens so single words do not
-// "acronym" to their own initial.
-func IsAcronymOf(short, long string) bool {
-	tokens := Tokenize(long)
-	if len(tokens) < 2 {
-		return false
-	}
-	return strings.ToLower(short) == FirstLetters(tokens)
-}
+// The detector below and the acronym test of NameMatcher.abbrevMatch are
+// heuristic but conservative: they only fire when the shorter string is
+// structurally derivable from the longer one.
 
 // IsAbbreviationOf reports whether short abbreviates the single word long,
 // e.g. "qty"/"quantity", "no"/"number", "addr"/"address", "amt"/"amount".
@@ -86,23 +74,4 @@ func hasSkeletonPrefix(w, s string) bool {
 		}
 	}
 	return k == len(s)
-}
-
-// AbbrevMatch reports whether either label abbreviates or acronymizes the
-// other, at whole-label granularity. It is symmetric.
-func AbbrevMatch(a, b string) bool {
-	na, nb := Normalize(a), Normalize(b)
-	if na == "" || nb == "" || na == nb {
-		return false
-	}
-	short, long := a, b
-	if len(na) > len(nb) {
-		short, long = b, a
-	}
-	ns := Normalize(short)
-	if IsAcronymOf(ns, long) {
-		return true
-	}
-	// Single-word abbreviation of the whole normalized long form.
-	return IsAbbreviationOf(ns, Normalize(long))
 }

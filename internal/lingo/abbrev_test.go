@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// structuralMatch is Match on an empty thesaurus, so that the structural
+// acronym and abbreviation branch decides a relaxed label pair.
+func structuralMatch(a, b string) (float64, Kind) { return NewNameMatcher(nil).Match(a, b) }
+
+// An acronym spells the first letters of at least two tokens of the longer
+// label, in order.
 func TestIsAcronymOf(t *testing.T) {
 	cases := []struct {
 		short, long string
@@ -21,8 +27,13 @@ func TestIsAcronymOf(t *testing.T) {
 		{"UOM", "Measure Of Unit", false}, // order matters
 	}
 	for _, c := range cases {
-		if got := IsAcronymOf(c.short, c.long); got != c.want {
-			t.Errorf("IsAcronymOf(%q,%q) = %v, want %v", c.short, c.long, got, c.want)
+		s, k := structuralMatch(c.short, c.long)
+		want := None
+		if c.want {
+			want = Relaxed
+		}
+		if k != want || (c.want && s != RelaxedScore) {
+			t.Errorf("Match(%q,%q) = (%v,%v), want acronym %v", c.short, c.long, s, k, c.want)
 		}
 	}
 }
@@ -136,23 +147,26 @@ func TestIsAbbreviationOfAllocs(t *testing.T) {
 	}
 }
 
+// Either label may abbreviate or acronymize the other: the structural
+// branch is symmetric, and equal labels are exact, not abbreviations.
 func TestAbbrevMatch(t *testing.T) {
 	cases := []struct {
-		a, b string
-		want bool
+		a, b  string
+		score float64
+		kind  Kind
 	}{
-		{"UOM", "Unit Of Measure", true},
-		{"Unit Of Measure", "UOM", true}, // symmetric
-		{"Qty", "Quantity", true},
-		{"Quantity", "Qty", true},
-		{"OrderNo", "OrderNo", false}, // equal labels are not "abbreviations"
-		{"", "Quantity", false},
-		{"Lines", "Items", false},
-		{"BillTo", "BillingAddr", false}, // related but not an abbreviation
+		{"UOM", "Unit Of Measure", RelaxedScore, Relaxed},
+		{"Unit Of Measure", "UOM", RelaxedScore, Relaxed},
+		{"Qty", "Quantity", RelaxedScore, Relaxed},
+		{"Quantity", "Qty", RelaxedScore, Relaxed},
+		{"OrderNo", "OrderNo", 1, Exact},
+		{"", "Quantity", 0, None},
+		{"Lines", "Items", 0, None},
+		{"BillTo", "BillingAddr", 0, None}, // related, but not an abbreviation
 	}
 	for _, c := range cases {
-		if got := AbbrevMatch(c.a, c.b); got != c.want {
-			t.Errorf("AbbrevMatch(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
+		if s, k := structuralMatch(c.a, c.b); s != c.score || k != c.kind {
+			t.Errorf("Match(%q,%q) = (%v,%v), want (%v,%v)", c.a, c.b, s, k, c.score, c.kind)
 		}
 	}
 }

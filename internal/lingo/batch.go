@@ -29,8 +29,10 @@ type KernelScorer struct {
 // NewKernelScorer builds a scorer over the two label vocabularies. Cost is
 // O(Σ|label|) feature building plus O(|srcTokens|·|tgtTokens|) token-pair
 // scoring — the same unique-pair work the token memo would do across the
-// fill, minus every map probe.
-func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string) *KernelScorer {
+// fill, minus every map probe. done is checked between rows of the token
+// matrix: once it is closed, NewKernelScorer stops and returns nil. A nil
+// done never stops it.
+func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan struct{}) *KernelScorer {
 	ks := &KernelScorer{m: m}
 	ks.srcF = make([]*LabelFeatures, len(srcLabels))
 	for i, l := range srcLabels {
@@ -77,6 +79,11 @@ func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string) *KernelScor
 	ks.sims = make([]float64, len(srcGlob)*len(tgtGlob))
 	ks.exact = make([]bool, len(ks.sims))
 	for i, ga := range srcGlob {
+		select {
+		case <-done:
+			return nil
+		default:
+		}
 		row := i * ks.ntTok
 		for j, gb := range tgtGlob {
 			ts := m.tokenSimUncached(ga, gb)
@@ -108,21 +115,20 @@ func (ks *KernelScorer) Score(si, tj int32) (float64, Kind) {
 		case RelSynonym:
 			return 1, Exact
 		case RelAcronym, RelHypernym, RelHyponym, RelRelated:
-			return m.RelaxedScore, Relaxed
+			return RelaxedScore, Relaxed
 		}
 	}
 	if m.abbrevMatch(fa.Norm, fb.Norm, fa.toks, fb.toks) {
-		return m.RelaxedScore, Relaxed
+		return RelaxedScore, Relaxed
 	}
 	score, allExact, fullCover := ks.aggregate(si, tj)
-	if score >= m.MatchThreshold {
+	if score >= MatchThreshold {
 		if allExact && fullCover && score >= 0.999 {
 			return score, Exact
 		}
 		return score, Relaxed
 	}
-	if ws, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams,
-		fa.Norm, fb.Norm, m.StringSimFloor); ok {
+	if ws, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams); ok {
 		return ws, Relaxed
 	}
 	return 0, None

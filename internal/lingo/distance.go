@@ -3,68 +3,22 @@ package lingo
 import (
 	"slices"
 	"sync"
-	"unicode/utf8"
 )
 
-// String-similarity metrics. All similarity functions return values in
-// [0, 1] with 1 meaning identical; distance functions return edit counts.
-// Inputs are compared as-is: callers that want case-insensitive behaviour
-// should normalize first (see Normalize / Tokenize).
+// String-similarity metrics over runes and trigram hashes that the caller
+// decoded once per label or token (see LabelFeatures). Similarities lie in
+// [0, 1] with 1 meaning identical. Inputs are compared as-is: callers
+// normalize first (see Normalize / Tokenize).
 
-// Levenshtein returns the minimum number of single-character insertions,
-// deletions and substitutions required to turn a into b.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// EditSim is the Levenshtein distance normalized to a similarity:
-// 1 − dist/max(len). Two empty strings are fully similar.
-func EditSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
-}
-
-// jaroStackLimit is the string length up to which Jaro runs without heap
+// jaroStackLimit is the rune count up to which Jaro runs without heap
 // allocation — schema labels are almost always shorter.
 const jaroStackLimit = 64
 
-// longBufs holds the spill working buffers the metrics need for inputs
-// longer than jaroStackLimit runes. Pooling them keeps even pathological
-// label lengths off the allocator's hot path.
+// longBufs holds the spill match flags Jaro needs for inputs longer than
+// jaroStackLimit runes. Pooling them keeps even pathological label lengths
+// off the allocator's hot path.
 type longBufs struct {
-	ra, rb []rune
 	ma, mb []bool
-	ha, hb []uint64
 }
 
 var longBufPool = sync.Pool{New: func() any { return new(longBufs) }}
@@ -82,31 +36,6 @@ func boolsInto(buf []bool, n int) []bool {
 	return buf
 }
 
-// Jaro returns the Jaro similarity of a and b. The stack and pooled
-// buffer paths are kept strictly apart so escape analysis can prove the
-// stack arrays never reach the heap — the common short-label case runs
-// allocation-free.
-func Jaro(a, b string) float64 {
-	// len in bytes bounds len in runes, so short byte strings are safe on
-	// the stack buffers.
-	if len(a) <= jaroStackLimit && len(b) <= jaroStackLimit {
-		var rbufA, rbufB [jaroStackLimit]rune
-		var bufA, bufB [jaroStackLimit]bool
-		ra := runesInto(rbufA[:0], a)
-		rb := runesInto(rbufB[:0], b)
-		return jaroRunes(ra, rb, bufA[:len(ra)], bufB[:len(rb)])
-	}
-	lb := longBufPool.Get().(*longBufs)
-	ra := runesInto(lb.ra[:0], a)
-	rb := runesInto(lb.rb[:0], b)
-	ma := boolsInto(lb.ma, len(ra))
-	mb := boolsInto(lb.mb, len(rb))
-	lb.ra, lb.rb, lb.ma, lb.mb = ra, rb, ma, mb
-	j := jaroRunes(ra, rb, ma, mb)
-	longBufPool.Put(lb)
-	return j
-}
-
 // jaroRunes computes the Jaro similarity over decoded runes; matchedA and
 // matchedB are zeroed scratch of the matching lengths.
 func jaroRunes(ra, rb []rune, matchedA, matchedB []bool) float64 {
@@ -116,14 +45,14 @@ func jaroRunes(ra, rb []rune, matchedA, matchedB []bool) float64 {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	window := max2(len(ra), len(rb))/2 - 1
+	window := max(len(ra), len(rb))/2 - 1
 	if window < 0 {
 		window = 0
 	}
 	matches := 0
 	for i := range ra {
-		lo := max2(0, i-window)
-		hi := min2(len(rb)-1, i+window)
+		lo := max(0, i-window)
+		hi := min(len(rb)-1, i+window)
 		for j := lo; j <= hi; j++ {
 			if !matchedB[j] && ra[i] == rb[j] {
 				matchedA[i], matchedB[j] = true, true
@@ -155,29 +84,11 @@ func jaroRunes(ra, rb []rune, matchedA, matchedB []bool) float64 {
 	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-t)/m) / 3
 }
 
-// JaroWinkler returns the Jaro similarity boosted for a shared prefix of up
-// to four characters with the standard scaling factor 0.1. The prefix scan
-// decodes runes in place, keeping the function allocation-free.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	prefix := 0
-	for prefix < 4 && len(a) > 0 && len(b) > 0 {
-		ca, sa := utf8.DecodeRuneInString(a)
-		cb, sb := utf8.DecodeRuneInString(b)
-		if ca != cb {
-			break
-		}
-		prefix++
-		a, b = a[sa:], b[sb:]
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
-// jaroWinklerRunes is JaroWinkler over runes decoded once per label: same
-// match/transposition arithmetic, same ≤4-rune prefix boost, so the result
-// is bit-identical to JaroWinkler(a, b) on the source strings. (The stack
-// cutoff tests rune counts where JaroWinkler tests byte counts; both paths
-// feed jaroRunes the same slices, so the float is unaffected.)
+// jaroWinklerRunes returns the Jaro similarity of ra and rb boosted for a
+// shared prefix of up to four runes with the standard scaling factor 0.1.
+// The stack and pooled buffer paths are kept strictly apart so escape
+// analysis can prove the stack arrays never reach the heap — the common
+// short-label case runs allocation-free.
 func jaroWinklerRunes(ra, rb []rune) float64 {
 	var j float64
 	if len(ra) <= jaroStackLimit && len(rb) <= jaroStackLimit {
@@ -192,81 +103,20 @@ func jaroWinklerRunes(ra, rb []rune) float64 {
 		longBufPool.Put(lb)
 	}
 	prefix := 0
-	n := min2(min2(len(ra), len(rb)), 4)
+	n := min(len(ra), len(rb), 4)
 	for prefix < n && ra[prefix] == rb[prefix] {
 		prefix++
 	}
 	return j + float64(prefix)*0.1*(1-j)
 }
 
-// NGramSim returns the Dice coefficient over the character n-grams of a and
-// b (with n-1 boundary padding), a robust similarity for short labels. For
-// strings shorter than n, it falls back to EditSim. N-grams are compared
-// as 64-bit FNV window hashes over sorted stack-backed slices, so typical
-// schema labels are scored without heap allocation — this sits on the
-// hottest path of large matches.
-func NGramSim(a, b string, n int) float64 {
-	if n < 1 {
-		n = 2
-	}
-	if a == b {
-		return 1
-	}
-	// As in Jaro, the stack and pooled paths stay strictly apart so the
-	// stack arrays provably never escape.
-	if len(a) <= jaroStackLimit && len(b) <= jaroStackLimit {
-		var bufA, bufB [jaroStackLimit]uint64
-		var rbufA, rbufB [jaroStackLimit]rune
-		ga := ngramHashes(bufA[:0], rbufA[:0], a, n)
-		gb := ngramHashes(bufB[:0], rbufB[:0], b, n)
-		return ngramDice(ga, gb, a, b)
-	}
-	lb := longBufPool.Get().(*longBufs)
-	ga := ngramHashes(lb.ha[:0], lb.ra[:0], a, n)
-	gb := ngramHashes(lb.hb[:0], lb.rb[:0], b, n)
-	lb.ha, lb.hb = ga, gb
-	d := ngramDice(ga, gb, a, b)
-	longBufPool.Put(lb)
-	return d
-}
-
-// ngramDice merge-counts common n-grams with multiplicity (multiset Dice)
-// over the two hash multisets; empty multisets fall back to EditSim.
-func ngramDice(ga, gb []uint64, a, b string) float64 {
-	sortHashes(ga)
-	sortHashes(gb)
-	return diceSortedHashes(ga, gb, a, b)
-}
-
-// diceSortedHashes is ngramDice over multisets that are already sorted —
-// the per-pair cost when gram hashing and sorting were done once per label
-// (see LabelFeatures) is just this linear merge.
-func diceSortedHashes(ga, gb []uint64, a, b string) float64 {
-	if len(ga) == 0 || len(gb) == 0 {
-		return EditSim(a, b)
-	}
-	common := 0
-	i, j := 0, 0
-	for i < len(ga) && j < len(gb) {
-		switch {
-		case ga[i] == gb[j]:
-			common++
-			i++
-			j++
-		case ga[i] < gb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return 2 * float64(common) / float64(len(ga)+len(gb))
-}
-
-// diceSortedBounded is diceSortedHashes with an early exit: when even
-// matching every remaining hash could not lift the Dice value to need, it
-// bails and reports exact=false (the true value is then provably < need).
-// A completed merge reports the exact value. The bound common+min(rem)
-// only decreases as the merge advances, so one check per step suffices.
+// diceSortedBounded returns the multiset Dice coefficient 2·common/(|ga|+|gb|)
+// of two sorted gram-hash multisets by a linear merge, with an early exit:
+// when even matching every remaining hash could not lift the Dice value to
+// need, it bails and reports exact=false (the true value is then provably
+// < need). A completed merge reports the exact value. The bound
+// common+min(rem) only decreases as the merge advances, so one check per
+// step suffices. An empty multiset reports (0, false).
 func diceSortedBounded(ga, gb []uint64, need float64) (dice float64, exact bool) {
 	if len(ga) == 0 || len(gb) == 0 {
 		return 0, false
@@ -298,17 +148,8 @@ func diceSortedBounded(ga, gb []uint64, need float64) (dice float64, exact bool)
 	return 2 * float64(common) / float64(len(ga)+len(gb)), true
 }
 
-// TrigramSim is NGramSim with n=3, the variant used by the linguistic
-// matcher for token comparison.
-func TrigramSim(a, b string) float64 { return NGramSim(a, b, 3) }
-
-// ngramHashes appends the FNV-1a hash of every padded n-rune window of s
-// to buf, decoding s into rbuf.
-func ngramHashes(buf []uint64, rbuf []rune, s string, n int) []uint64 {
-	return ngramHashesRunes(buf, runesInto(rbuf, s), n)
-}
-
-// ngramHashesRunes is ngramHashes over runes the caller already decoded.
+// ngramHashesRunes appends to buf the FNV-1a hash of every n-rune window of
+// r padded with n−1 boundary runes on each side; an empty r yields none.
 func ngramHashesRunes(buf []uint64, r []rune, n int) []uint64 {
 	if len(r) == 0 {
 		return buf[:0]
@@ -354,53 +195,6 @@ func sortHashes(h []uint64) {
 	}
 }
 
-// LongestCommonSubstring returns the length of the longest contiguous
-// substring shared by a and b.
-func LongestCommonSubstring(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	best := 0
-	for i := 1; i <= len(ra); i++ {
-		for j := 1; j <= len(rb); j++ {
-			if ra[i-1] == rb[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return best
-}
-
-// SubstringSim normalizes LongestCommonSubstring by the length of the longer
-// string.
-func SubstringSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := max2(la, lb)
-	return float64(LongestCommonSubstring(a, b)) / float64(m)
-}
-
-// CommonPrefixLen returns the length of the shared prefix of a and b.
-func CommonPrefixLen(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	i := 0
-	for i < len(ra) && i < len(rb) && ra[i] == rb[i] {
-		i++
-	}
-	return i
-}
-
 // IsSubsequence reports whether a is a subsequence of b (characters of a
 // appear in b in order, not necessarily contiguously).
 func IsSubsequence(a, b string) bool {
@@ -422,19 +216,3 @@ func runesInto(buf []rune, s string) []rune {
 	}
 	return buf
 }
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min3(a, b, c int) int { return min2(min2(a, b), c) }

@@ -2,101 +2,68 @@ package lingo
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"quantity", "qty", 5},
-		{"order", "order", 0},
-		{"a", "b", 1},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
+// jaro is jaroRunes over two strings with fresh match scratch.
+func jaro(a, b string) float64 {
+	ra, rb := []rune(a), []rune(b)
+	return jaroRunes(ra, rb, make([]bool, len(ra)), make([]bool, len(rb)))
 }
 
-// Properties: symmetry, identity, triangle inequality, bounds.
-func TestLevenshteinProperties(t *testing.T) {
-	clip := func(s string) string {
-		if len(s) > 12 {
-			return s[:12]
-		}
-		return s
-	}
-	sym := func(a, b string) bool {
-		a, b = clip(a), clip(b)
-		return Levenshtein(a, b) == Levenshtein(b, a)
-	}
-	if err := quick.Check(sym, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatalf("symmetry: %v", err)
-	}
-	ident := func(a string) bool { return Levenshtein(clip(a), clip(a)) == 0 }
-	if err := quick.Check(ident, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatalf("identity: %v", err)
-	}
-	tri := func(a, b, c string) bool {
-		a, b, c = clip(a), clip(b), clip(c)
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
-	}
-	if err := quick.Check(tri, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatalf("triangle: %v", err)
-	}
+func jaroWinkler(a, b string) float64 { return jaroWinklerRunes([]rune(a), []rune(b)) }
+
+// sortedTrigrams is a label's sorted padded trigram hash multiset, the form
+// LabelFeatures stores.
+func sortedTrigrams(s string) []uint64 {
+	g := ngramHashesRunes(nil, []rune(s), 3)
+	sortHashes(g)
+	return g
 }
 
-func TestEditSim(t *testing.T) {
-	if got := EditSim("", ""); got != 1 {
-		t.Fatalf("EditSim empty = %v", got)
-	}
-	if got := EditSim("abc", "abc"); got != 1 {
-		t.Fatalf("EditSim equal = %v", got)
-	}
-	if got := EditSim("abc", "xyz"); got != 0 {
-		t.Fatalf("EditSim disjoint = %v", got)
-	}
-	if got := EditSim("abcd", "abc"); math.Abs(got-0.75) > 1e-9 {
-		t.Fatalf("EditSim = %v, want 0.75", got)
-	}
+// trigramDice is the exact trigram Dice of two strings: with need 0 the
+// bounded merge never exits early. It reports false when a side has no
+// grams (the empty string).
+func trigramDice(a, b string) (float64, bool) {
+	return diceSortedBounded(sortedTrigrams(a), sortedTrigrams(b), 0)
 }
 
 func TestJaro(t *testing.T) {
-	if got := Jaro("", ""); got != 1 {
+	if got := jaro("", ""); got != 1 {
 		t.Fatalf("Jaro empty = %v", got)
 	}
-	if got := Jaro("a", ""); got != 0 {
+	if got := jaro("a", ""); got != 0 {
 		t.Fatalf("Jaro vs empty = %v", got)
 	}
-	if got := Jaro("abc", "abc"); got != 1 {
+	if got := jaro("abc", "abc"); got != 1 {
 		t.Fatalf("Jaro equal = %v", got)
 	}
 	// Classic textbook value: JARO(MARTHA, MARHTA) = 0.944...
-	if got := Jaro("MARTHA", "MARHTA"); math.Abs(got-0.944444) > 1e-4 {
+	if got := jaro("MARTHA", "MARHTA"); math.Abs(got-0.944444) > 1e-4 {
 		t.Fatalf("Jaro(MARTHA,MARHTA) = %v", got)
 	}
-	if got := Jaro("abc", "xyz"); got != 0 {
+	if got := jaro("abc", "xyz"); got != 0 {
 		t.Fatalf("Jaro disjoint = %v", got)
 	}
 }
 
 func TestJaroWinkler(t *testing.T) {
 	// Classic textbook value: JW(DIXON, DICKSONX) = 0.8133...
-	if got := JaroWinkler("DIXON", "DICKSONX"); math.Abs(got-0.81333) > 1e-4 {
+	if got := jaroWinkler("DIXON", "DICKSONX"); math.Abs(got-0.81333) > 1e-4 {
 		t.Fatalf("JW(DIXON,DICKSONX) = %v", got)
 	}
 	// Prefix boost: JW >= Jaro always.
-	if JaroWinkler("prefix", "preface") < Jaro("prefix", "preface") {
+	if jaroWinkler("prefix", "preface") < jaro("prefix", "preface") {
 		t.Fatal("JW below Jaro")
+	}
+	// Past the stack buffers the pooled path must agree with the
+	// definition: a 70-rune label against itself with one rune changed.
+	long := strings.Repeat("ab", 35)
+	changed := long[:69] + "x"
+	if got, want := jaroWinkler(long, changed), jaro(long, changed)+0.4*(1-jaro(long, changed)); got != want {
+		t.Fatalf("JW(long) = %v, want %v", got, want)
 	}
 }
 
@@ -114,11 +81,9 @@ func TestSimilarityBounds(t *testing.T) {
 		}
 	}
 	for name, f := range map[string]func(a, b string) float64{
-		"EditSim":      EditSim,
-		"Jaro":         Jaro,
-		"JaroWinkler":  JaroWinkler,
-		"TrigramSim":   TrigramSim,
-		"SubstringSim": SubstringSim,
+		"Jaro":        jaro,
+		"JaroWinkler": jaroWinkler,
+		"TrigramDice": func(a, b string) float64 { d, _ := trigramDice(a, b); return d },
 	} {
 		if err := quick.Check(in01(f), &quick.Config{MaxCount: 300}); err != nil {
 			t.Fatalf("%s bounds: %v", name, err)
@@ -131,7 +96,11 @@ func TestSimilaritySelfIsOne(t *testing.T) {
 		if len(a) > 10 {
 			a = a[:10]
 		}
-		return EditSim(a, a) == 1 && Jaro(a, a) == 1 && TrigramSim(a, a) == 1
+		if jaro(a, a) != 1 || jaroWinkler(a, a) != 1 {
+			return false
+		}
+		d, exact := trigramDice(a, a)
+		return a == "" && !exact || d == 1 && exact
 	}
 	if err := quick.Check(self, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -139,46 +108,25 @@ func TestSimilaritySelfIsOne(t *testing.T) {
 }
 
 func TestNGramSim(t *testing.T) {
-	if got := NGramSim("night", "nacht", 2); got <= 0 || got >= 1 {
-		t.Fatalf("NGramSim(night,nacht) = %v, want in (0,1)", got)
+	// night: ⁰⁰n ⁰ni nig igh ght ht¹ t¹¹; nacht: ⁰⁰n ⁰na nac ach cht ht¹
+	// t¹¹ — three of seven trigrams shared, Dice 6/14.
+	if got, exact := trigramDice("night", "nacht"); !exact || math.Abs(got-6.0/14) > 1e-12 {
+		t.Fatalf("trigram Dice(night,nacht) = %v, %v; want 6/14", got, exact)
 	}
-	if got := NGramSim("abc", "abc", 2); got != 1 {
-		t.Fatalf("NGramSim equal = %v", got)
+	if got, exact := trigramDice("abc", "abc"); !exact || got != 1 {
+		t.Fatalf("trigram Dice equal = %v, %v", got, exact)
 	}
-	// n < 1 falls back to n=2.
-	if got := NGramSim("abc", "abd", 0); got <= 0 {
-		t.Fatalf("NGramSim n=0 fallback = %v", got)
+	if got, exact := trigramDice("", "abc"); exact || got != 0 {
+		t.Fatalf("trigram Dice empty = %v, %v; want 0, false", got, exact)
 	}
-	// One side empty: falls through ngrams==nil to EditSim.
-	if got := NGramSim("", "abc", 2); got != 0 {
-		t.Fatalf("NGramSim empty = %v", got)
+	// The bounded merge bails once need is out of reach and finishes
+	// exactly otherwise.
+	ga, gb := sortedTrigrams("night"), sortedTrigrams("nacht")
+	if _, exact := diceSortedBounded(ga, gb, 0.5); exact {
+		t.Fatal("bounded Dice(night,nacht) reached need 0.5")
 	}
-}
-
-func TestLongestCommonSubstring(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 0},
-		{"abcdef", "zabcy", 3},
-		{"quantity", "qty", 2}, // shared "ty"
-		{"shipping", "shippingaddr", 8},
-	}
-	for _, c := range cases {
-		if got := LongestCommonSubstring(c.a, c.b); got != c.want {
-			t.Errorf("LCS(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestCommonPrefixLen(t *testing.T) {
-	if got := CommonPrefixLen("shipto", "shipping"); got != 4 {
-		t.Fatalf("CommonPrefixLen = %d", got)
-	}
-	if got := CommonPrefixLen("", "x"); got != 0 {
-		t.Fatalf("CommonPrefixLen empty = %d", got)
+	if got, exact := diceSortedBounded(ga, gb, 6.0/14); !exact || got != 6.0/14 {
+		t.Fatalf("bounded Dice(night,nacht) at need 6/14 = %v, %v", got, exact)
 	}
 }
 

@@ -34,10 +34,3 @@ func ExampleTokenize() {
 	// [purchase order number]
 	// [item number]
 }
-
-// ExampleSoundex encodes phonetically similar names identically.
-func ExampleSoundex() {
-	fmt.Println(lingo.Soundex("Robert"), lingo.Soundex("Rupert"))
-	// Output:
-	// R163 R163
-}

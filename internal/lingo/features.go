@@ -97,16 +97,16 @@ func (m *NameMatcher) MatchFeatures(fa, fb *LabelFeatures) (float64, Kind) {
 		case RelSynonym:
 			return 1, Exact
 		case RelAcronym, RelHypernym, RelHyponym, RelRelated:
-			return m.RelaxedScore, Relaxed
+			return RelaxedScore, Relaxed
 		}
 	}
 	// Whole-label acronym / abbreviation detection.
 	if m.abbrevMatch(fa.Norm, fb.Norm, fa.toks, fb.toks) {
-		return m.RelaxedScore, Relaxed
+		return RelaxedScore, Relaxed
 	}
 	// Token-level aggregation.
 	score, allExact, fullCover := m.tokenAggregate(fa.ids, fb.ids)
-	if score >= m.MatchThreshold {
+	if score >= MatchThreshold {
 		if allExact && fullCover && score >= 0.999 {
 			return score, Exact
 		}
@@ -114,48 +114,36 @@ func (m *NameMatcher) MatchFeatures(fa, fb *LabelFeatures) (float64, Kind) {
 	}
 	// Last resort: whole-string similarity of normalized labels, useful
 	// for labels that tokenize poorly ("custaddr").
-	if ws, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams,
-		fa.Norm, fb.Norm, m.StringSimFloor); ok {
+	if ws, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams); ok {
 		return ws, Relaxed
 	}
 	return 0, None
 }
 
-// simAtLeast computes combined Jaro-Winkler + trigram similarity over
-// precomputed runes and sorted gram multisets, reporting (value, true)
-// exactly when the historical combinedStringSim(a, b) would have returned
-// a value ≥ floor — and that identical value. Below the floor it may
-// return (0, false) without finishing the computation: every caller maps
-// below-floor similarities to "no match", so the early exits are
-// unobservable.
+// simAtLeast computes the combined string similarity of two labels or
+// tokens from their runes and sorted gram multisets: jw/2 when their
+// Jaro-Winkler similarity jw is below 0.5, else (jw + tg)/2 with tg their
+// trigram Dice. It reports (value, true) exactly when the value reaches
+// StringSimFloor. Below the floor it may return (0, false) without
+// finishing the computation: every caller maps below-floor similarities to
+// "no match", so the early exits are unobservable.
 //
-// The pruning order is the reverse of the historical code: the Dice merge
-// over pre-sorted grams is now far cheaper than Jaro, so it runs first
-// and bounds the combined score from above ((1+tg)/2, since jw ≤ 1).
-// The bound is only a valid filter when floor > 0.25, because the
-// jw < 0.5 branch caps its result at 0.25 independently of tg.
-func simAtLeast(ra, rb []rune, ga, gb []uint64, a, b string, floor float64) (float64, bool) {
-	if floor > 0.25 && len(ga) > 0 && len(gb) > 0 {
-		// (1+tg)/2 ≥ floor requires tg ≥ 2·floor−1; the bounded merge
-		// stops as soon as that is provably out of reach.
-		tg, exact := diceSortedBounded(ga, gb, 2*floor-1)
-		if !exact || (1+tg)/2 < floor {
-			return 0, false
-		}
-		jw := jaroWinklerRunes(ra, rb)
-		if jw < 0.5 {
-			return 0, false // historical value jw/2 < 0.25 < floor
-		}
-		s := (jw + tg) / 2
-		return s, s >= floor
+// The Dice merge over pre-sorted grams is far cheaper than Jaro, so it runs
+// first and bounds the combined score from above ((1+tg)/2, since jw ≤ 1).
+// The jw/2 branch never reaches the floor (jw/2 < 0.25). Both sides are
+// non-empty: empty labels return before simAtLeast, and Tokenize never
+// yields an empty token.
+func simAtLeast(ra, rb []rune, ga, gb []uint64) (float64, bool) {
+	// (1+tg)/2 ≥ floor requires tg ≥ 2·floor−1; the bounded merge stops as
+	// soon as that is provably out of reach.
+	tg, exact := diceSortedBounded(ga, gb, 2*StringSimFloor-1)
+	if !exact || (1+tg)/2 < StringSimFloor {
+		return 0, false
 	}
-	// Low floors can be met by the jw/2 branch; mirror the historical
-	// evaluation order exactly.
 	jw := jaroWinklerRunes(ra, rb)
 	if jw < 0.5 {
-		s := jw / 2
-		return s, s >= floor
+		return 0, false
 	}
-	s := (jw + diceSortedHashes(ga, gb, a, b)) / 2
-	return s, s >= floor
+	s := (jw + tg) / 2
+	return s, s >= StringSimFloor
 }

@@ -1,0 +1,289 @@
+package lingo
+
+import (
+	"math/bits"
+	"strings"
+	"testing"
+)
+
+// referenceMatch is the label-axis decision chain transcribed literally
+// over plain strings, with none of the fast paths NameMatcher and
+// KernelScorer take: no feature or token memo, no known-flag skip before
+// the thesaurus, the acronym test through FirstLetters, and naive string
+// Jaro-Winkler and padded trigram Dice that always run to the end. It is
+// the independent reference FuzzKernel holds both fast chains to.
+func referenceMatch(th *Thesaurus, a, b string) (float64, Kind) {
+	na, nb := Normalize(a), Normalize(b)
+	if na == "" || nb == "" {
+		return 0, None
+	}
+	// Equal, or equal after singularization.
+	if na == nb || Singularize(na) == Singularize(nb) {
+		return 1, Exact
+	}
+	switch th.RelateNormalized(na, nb) {
+	case RelSynonym:
+		return 1, Exact
+	case RelAcronym, RelHypernym, RelHyponym, RelRelated:
+		return RelaxedScore, Relaxed
+	}
+	ta, tb := StripNoise(Tokenize(a)), StripNoise(Tokenize(b))
+	// The shorter normal form acronymizes the longer label's (noise-
+	// stripped) tokens, or abbreviates it when it is a single word.
+	short, long, longToks := na, nb, tb
+	if len(na) > len(nb) {
+		short, long, longToks = nb, na, ta
+	}
+	if len(longToks) >= 2 && short == FirstLetters(longToks) {
+		return RelaxedScore, Relaxed
+	}
+	if len(longToks) == 1 && IsAbbreviationOf(short, long) {
+		return RelaxedScore, Relaxed
+	}
+	// Symmetric best-pair token aggregation.
+	if len(ta) > 0 && len(tb) > 0 {
+		allExact, fullCover := true, true
+		direction := func(from, to []string) float64 {
+			total := 0.0
+			for _, f := range from {
+				best, bestExact := 0.0, false
+				for _, t := range to {
+					s, exact := referenceTokenSim(th, f, t)
+					if s > best || (s == best && exact && !bestExact) {
+						best, bestExact = s, exact
+					}
+				}
+				if best == 0 {
+					fullCover = false
+				}
+				if !bestExact {
+					allExact = false
+				}
+				total += best
+			}
+			return total / float64(len(from))
+		}
+		dirA := direction(ta, tb)
+		dirB := direction(tb, ta)
+		if score := (dirA + dirB) / 2; score >= MatchThreshold {
+			if allExact && fullCover && score >= 0.999 {
+				return score, Exact
+			}
+			return score, Relaxed
+		}
+	}
+	// Whole-string similarity of the normal forms.
+	if s := referenceStringSim(na, nb); s >= StringSimFloor {
+		return s, Relaxed
+	}
+	return 0, None
+}
+
+// referenceTokenSim scores one token pair: exact when equal after
+// singularization or synonymous, RelaxedScore for any other thesaurus
+// relation or an abbreviation either way, else the combined string
+// similarity when it reaches StringSimFloor.
+func referenceTokenSim(th *Thesaurus, a, b string) (float64, bool) {
+	if a == b || Singularize(a) == Singularize(b) {
+		return 1, true
+	}
+	switch th.RelateNormalized(a, b) {
+	case RelSynonym:
+		return 1, true
+	case RelAcronym, RelHypernym, RelHyponym, RelRelated:
+		return RelaxedScore, false
+	}
+	if IsAbbreviationOf(a, b) || IsAbbreviationOf(b, a) {
+		return RelaxedScore, false
+	}
+	if s := referenceStringSim(a, b); s >= StringSimFloor {
+		return s, false
+	}
+	return 0, false
+}
+
+// referenceStringSim is the combined string similarity: half the
+// Jaro-Winkler value below 0.5, else the mean of Jaro-Winkler and trigram
+// Dice.
+func referenceStringSim(a, b string) float64 {
+	jw := referenceJaroWinkler(a, b)
+	if jw < 0.5 {
+		return jw / 2
+	}
+	return (jw + referenceTrigramDice(a, b)) / 2
+}
+
+// referenceJaroWinkler is textbook Jaro-Winkler over runes: matches are
+// equal runes within max(|a|,|b|)/2 − 1 positions, each rune of b used at
+// most once; t is half the matched runes out of order; the Jaro value
+// (m/|a| + m/|b| + (m−t)/m)/3 is boosted by 0.1 per shared prefix rune, up
+// to four.
+func referenceJaroWinkler(a, b string) float64 {
+	ra, rb := []rune(a), []rune(b)
+	if len(ra) == 0 && len(rb) == 0 {
+		return 1
+	}
+	if len(ra) == 0 || len(rb) == 0 {
+		return 0
+	}
+	window := max(0, max(len(ra), len(rb))/2-1)
+	usedA, usedB := make([]bool, len(ra)), make([]bool, len(rb))
+	m := 0
+	for i, r := range ra {
+		for j := max(0, i-window); j <= min(len(rb)-1, i+window); j++ {
+			if !usedB[j] && rb[j] == r {
+				usedA[i], usedB[j] = true, true
+				m++
+				break
+			}
+		}
+	}
+	jaro := 0.0
+	if m > 0 {
+		var matchedA, matchedB []rune
+		for i, u := range usedA {
+			if u {
+				matchedA = append(matchedA, ra[i])
+			}
+		}
+		for j, u := range usedB {
+			if u {
+				matchedB = append(matchedB, rb[j])
+			}
+		}
+		outOfOrder := 0
+		for k := range matchedA {
+			if matchedA[k] != matchedB[k] {
+				outOfOrder++
+			}
+		}
+		mf, t := float64(m), float64(outOfOrder)/2
+		jaro = (mf/float64(len(ra)) + mf/float64(len(rb)) + (mf-t)/mf) / 3
+	}
+	prefix := 0
+	for prefix < 4 && prefix < len(ra) && prefix < len(rb) && ra[prefix] == rb[prefix] {
+		prefix++
+	}
+	return jaro + float64(prefix)*0.1*(1-jaro)
+}
+
+// referenceTrigramDice is the multiset Dice coefficient of the padded rune
+// trigrams of a and b. Each string is padded with two NUL runes in front
+// and two SOH runes behind, the padding the production hashes use, so a
+// label containing those runes grams alike in both.
+func referenceTrigramDice(a, b string) float64 {
+	grams := func(s string) map[string]int {
+		r := append(append([]rune{0, 0}, []rune(s)...), 1, 1)
+		out := map[string]int{}
+		for i := 0; i+3 <= len(r); i++ {
+			out[string(r[i:i+3])]++
+		}
+		return out
+	}
+	ga, gb := grams(a), grams(b)
+	common, total := 0, 0
+	for g, n := range ga {
+		common += min(n, gb[g])
+		total += n
+	}
+	for _, n := range gb {
+		total += n
+	}
+	return 2 * float64(common) / float64(total)
+}
+
+// kernelPool holds the label shapes the kernel's fast paths are most
+// likely to get wrong: thesaurus terms with their plurals, abbreviations
+// and acronyms; the irregular shortenings; labels led by a noise token;
+// digits and non-ASCII runes; labels that normalize to empty; labels past
+// the 64-rune stack buffers; and near-miss trigram overlaps.
+var kernelPool = []string{
+	"OrderNo", "order_numbers", "PurchaseOrder", "PO", "POs", "Quantity",
+	"Qty", "quantities", "UnitOfMeasure", "UOM", "uoms", "Lines", "Items",
+	"Item#", "BillTo", "BillingAddr", "ShippingAddress", "ShipTo", "Writer",
+	"Authors", "DateOfBirth", "DOB", "Seq", "Sequences", "xref",
+	"CrossReference", "Dates", "PurchaseDate",
+	"no", "nbr", "Number", "wt", "Weight", "mfg", "Manufacturing", "pkg",
+	"Package", "PkgNo", "ItemNbr",
+	"DataUnitOfMeasure", "InfoQuantity", "ListItems", "RecordSet",
+	"GroupData", "data", "DataPO",
+	"address2", "ISBN13Code", "söme-ünïcode-label", "Straße", "ÄÖÜ",
+	"日本語ラベル", "x1y2z3", "İstanbul", "ﬁle", "Ω",
+	"", "   ", "_-_", "...", "()",
+	strings.Repeat("ab", 33),
+	"ThisIsAnExtremelyLongSchemaElementLabelThatExceedsTheStackBufferLimitOfTheStringMetrics",
+	strings.Repeat("ü", 70),
+	"custaddr", "custaddress", "CustomerAddr", "shipment", "shipments",
+	"shipping", "colour", "color", "organisation", "organization",
+	"nightly", "nacht", "abcdefgh", "abcdefgx", "xbcdefgh", "manufacturer",
+	"manfuanturer", "customername", "custmernane",
+}
+
+// fuzzVocabulary turns fuzz input into a label vocabulary: the lines of
+// text (at most 16, each cut to 160 bytes) plus four pool labels and one
+// two-label concatenation drawn by pick, without duplicates.
+func fuzzVocabulary(text string, pick uint64) []string {
+	var labels []string
+	for i, line := range strings.Split(text, "\n") {
+		if i == 16 {
+			break
+		}
+		if len(line) > 160 {
+			line = line[:160]
+		}
+		labels = append(labels, line)
+	}
+	draw := func() string {
+		s := kernelPool[pick%uint64(len(kernelPool))]
+		pick /= uint64(len(kernelPool))
+		return s
+	}
+	for k := 0; k < 4; k++ {
+		labels = append(labels, draw())
+	}
+	labels = append(labels, draw()+draw())
+	seen := map[string]bool{}
+	out := labels[:0]
+	for _, l := range labels {
+		if !seen[l] {
+			seen[l] = true
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// FuzzKernel holds every entry of a KernelScorer over two fuzzed
+// vocabularies to three other computations of the same label pair, score
+// and kind both: Match on a fresh NameMatcher, Match on the warm matcher
+// the scorer was built from (after it scored an unrelated vocabulary, so
+// its token ids differ from a fresh matcher's), and referenceMatch. The
+// thesaurus is the built-in one or, to let the structural acronym and
+// abbreviation tests decide, an empty one.
+func FuzzKernel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, srcText, tgtText string, pick uint64, builtin bool) {
+		th := NewThesaurus()
+		if builtin {
+			th = Default()
+		}
+		src := fuzzVocabulary(srcText, pick)
+		tgt := fuzzVocabulary(tgtText, bits.RotateLeft64(pick, 32))
+		warm := NewNameMatcher(th)
+		for _, l := range fuzzVocabulary("", ^pick) {
+			warm.Match(l, src[0])
+		}
+		ks := warm.NewKernelScorer(src, tgt, nil)
+		for i, a := range src {
+			for j, b := range tgt {
+				s, k := ks.Score(int32(i), int32(j))
+				fs, fk := NewNameMatcher(th).Match(a, b)
+				ws, wk := warm.Match(a, b)
+				rs, rk := referenceMatch(th, a, b)
+				if s != fs || k != fk || s != ws || k != wk || s != rs || k != rk {
+					t.Fatalf("(%q, %q), builtin thesaurus %v: kernel (%v, %v), fresh Match (%v, %v), warm Match (%v, %v), reference (%v, %v)",
+						a, b, builtin, s, k, fs, fk, ws, wk, rs, rk)
+				}
+			}
+		}
+	})
+}

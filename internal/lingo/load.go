@@ -55,10 +55,3 @@ func LoadThesaurus(r io.Reader) (*Thesaurus, error) {
 	}
 	return t, nil
 }
-
-// WriteThesaurusEntry formats one relation line in the LoadThesaurus
-// format.
-func WriteThesaurusEntry(w io.Writer, relation, a, b string) error {
-	_, err := fmt.Fprintf(w, "%s\t%s\t%s\n", relation, a, b)
-	return err
-}

@@ -1,7 +1,6 @@
 package lingo
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -45,25 +44,5 @@ func TestLoadThesaurusErrors(t *testing.T) {
 		if _, err := LoadThesaurus(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-}
-
-func TestWriteThesaurusEntryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteThesaurusEntry(&buf, "synonym", "gizmo", "widget"); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteThesaurusEntry(&buf, "acronym", "id", "identifier"); err != nil {
-		t.Fatal(err)
-	}
-	th, err := LoadThesaurus(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th.Relate("gizmo", "widget") != RelSynonym {
-		t.Fatal("synonym lost")
-	}
-	if th.Relate("id", "identifier") != RelAcronym {
-		t.Fatal("acronym lost")
 	}
 }

@@ -33,6 +33,21 @@ func (k Kind) String() string {
 	}
 }
 
+// The matcher's fixed tuning.
+const (
+	// RelaxedScore is the similarity assigned to thesaurus- or
+	// abbreviation-derived relaxed matches.
+	RelaxedScore = 0.85
+	// StringSimFloor is the minimum combined string similarity for two
+	// tokens with no thesaurus relation to be considered similar at all.
+	// Below the floor a token pair contributes zero.
+	StringSimFloor = 0.75
+	// MatchThreshold is the minimum aggregate token score for the pair to
+	// classify as Relaxed rather than None. Pairs that classify as None
+	// score 0 on the label axis.
+	MatchThreshold = 0.65
+)
+
 // NameMatcher scores label pairs. The zero value is not usable; construct
 // with NewNameMatcher. A NameMatcher memoizes tokenizations and token-pair
 // similarities and is therefore not safe for concurrent use; give each
@@ -40,17 +55,6 @@ func (k Kind) String() string {
 type NameMatcher struct {
 	// Thesaurus supplies synonym / hypernym / acronym relations.
 	Thesaurus *Thesaurus
-	// RelaxedScore is the similarity assigned to thesaurus- or
-	// abbreviation-derived relaxed matches (default 0.85).
-	RelaxedScore float64
-	// StringSimFloor is the minimum combined string similarity for two
-	// tokens with no thesaurus relation to be considered similar at all
-	// (default 0.75). Below the floor a token pair contributes zero.
-	StringSimFloor float64
-	// MatchThreshold is the minimum aggregate token score for the pair
-	// to classify as Relaxed rather than None (default 0.65). Pairs that
-	// classify as None score 0 on the label axis.
-	MatchThreshold float64
 
 	feats     map[string]*LabelFeatures
 	tokIndex  map[string]int32
@@ -64,34 +68,18 @@ type tokenScore struct {
 	exact bool
 }
 
-// Clone returns a NameMatcher with the same thesaurus and tuning but
-// fresh, empty memo caches. Workers that score labels concurrently each
-// take a clone — the Thesaurus is shared read-only, the caches are not.
-func (m *NameMatcher) Clone() *NameMatcher {
-	c := *m
-	c.feats = map[string]*LabelFeatures{}
-	c.tokIndex = map[string]int32{}
-	c.tokNames = nil
-	c.tokFeats = nil
-	c.tokenSims = map[uint64]tokenScore{}
-	return &c
-}
-
-// NewNameMatcher returns a NameMatcher with the default tuning over the
-// given thesaurus (nil selects an empty thesaurus, disabling semantic
-// relations but keeping string similarity).
+// NewNameMatcher returns a NameMatcher over the given thesaurus (nil
+// selects an empty thesaurus, disabling semantic relations but keeping
+// string similarity).
 func NewNameMatcher(t *Thesaurus) *NameMatcher {
 	if t == nil {
 		t = NewThesaurus()
 	}
 	return &NameMatcher{
-		Thesaurus:      t,
-		RelaxedScore:   0.85,
-		StringSimFloor: 0.75,
-		MatchThreshold: 0.65,
-		feats:          map[string]*LabelFeatures{},
-		tokIndex:       map[string]int32{},
-		tokenSims:      map[uint64]tokenScore{},
+		Thesaurus: t,
+		feats:     map[string]*LabelFeatures{},
+		tokIndex:  map[string]int32{},
+		tokenSims: map[uint64]tokenScore{},
 	}
 }
 
@@ -126,8 +114,8 @@ func (m *NameMatcher) Match(a, b string) (float64, Kind) {
 	return m.MatchFeatures(m.Features(a), m.Features(b))
 }
 
-// abbrevMatch is AbbrevMatch over pre-computed normalized forms and token
-// lists: one label must acronymize or abbreviate the other. Word-level
+// abbrevMatch reports whether one label acronymizes or abbreviates the
+// other, over pre-computed normalized forms and token lists. Word-level
 // abbreviation only applies when the long side is a single token —
 // detecting "end" as an "abbreviation" of the concatenation "entity"+"id"
 // would be a false positive across a token boundary.
@@ -225,14 +213,13 @@ func (m *NameMatcher) tokenSimUncached(a, b int32) tokenScore {
 		case RelSynonym:
 			return tokenScore{1, true}
 		case RelAcronym, RelHypernym, RelHyponym, RelRelated:
-			return tokenScore{m.RelaxedScore, false}
+			return tokenScore{RelaxedScore, false}
 		}
 	}
 	if IsAbbreviationOf(ta, tb) || IsAbbreviationOf(tb, ta) {
-		return tokenScore{m.RelaxedScore, false}
+		return tokenScore{RelaxedScore, false}
 	}
-	if s, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams,
-		ta, tb, m.StringSimFloor); ok {
+	if s, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams); ok {
 		return tokenScore{s, false}
 	}
 	return tokenScore{}

@@ -51,8 +51,8 @@ func TestNameMatchPaperPairs(t *testing.T) {
 	th.AddAcronym("uom", "unit of measure")
 	m := NewNameMatcher(th)
 	s, k := m.Match("Unit Of Measure", "UOM")
-	if k != Relaxed || s != m.RelaxedScore {
-		t.Fatalf("UOM acronym = (%v,%v), want (%v,relaxed)", s, k, m.RelaxedScore)
+	if k != Relaxed || s != RelaxedScore {
+		t.Fatalf("UOM acronym = (%v,%v), want (%v,relaxed)", s, k, RelaxedScore)
 	}
 	// Quantity vs Qty via pure abbreviation detection (empty thesaurus).
 	empty := NewNameMatcher(nil)
@@ -133,7 +133,7 @@ func TestNameMatchProperties(t *testing.T) {
 		if k1 == Exact && s1 != 1 {
 			return false
 		}
-		if k1 == None && s1 >= m.MatchThreshold && s1 >= m.StringSimFloor {
+		if k1 == None && s1 >= MatchThreshold && s1 >= StringSimFloor {
 			return false
 		}
 		return true

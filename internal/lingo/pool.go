@@ -27,9 +27,6 @@ func NewMatcherPool(t *Thesaurus) *MatcherPool {
 	return p
 }
 
-// Thesaurus returns the shared thesaurus every pooled matcher consults.
-func (p *MatcherPool) Thesaurus() *Thesaurus { return p.thesaurus }
-
 // Get returns a NameMatcher for exclusive use by one goroutine. Return it
 // with Put when done so its warm caches can be reused.
 func (p *MatcherPool) Get() *NameMatcher {

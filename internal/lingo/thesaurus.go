@@ -221,15 +221,6 @@ func (t *Thesaurus) termKey(n string) bool {
 	return ok
 }
 
-// Synonyms returns the recorded synonyms of the term (normalized forms).
-func (t *Thesaurus) Synonyms(term string) []string {
-	var out []string
-	for s := range t.syn[Normalize(term)] {
-		out = append(out, s)
-	}
-	return out
-}
-
 // Size returns the number of directed relation edges stored, a cheap
 // indicator for tests and diagnostics.
 func (t *Thesaurus) Size() int {

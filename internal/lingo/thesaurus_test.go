@@ -68,10 +68,6 @@ func TestAddIgnoresDegenerate(t *testing.T) {
 func TestSynonymsAndSize(t *testing.T) {
 	th := NewThesaurus()
 	th.AddSynonym("writer", "author")
-	syn := th.Synonyms("Writer")
-	if len(syn) != 1 || syn[0] != "author" {
-		t.Fatalf("Synonyms = %v", syn)
-	}
 	if th.Size() != 2 { // two directed edges
 		t.Fatalf("Size = %d", th.Size())
 	}

@@ -1,9 +1,10 @@
 // Package lingo is a from-scratch linguistic toolkit for schema label
 // matching. It provides the pieces a CUPID-style linguistic matcher needs —
-// a label tokenizer, a suite of string-similarity metrics, acronym and
-// abbreviation detectors, and a thesaurus with synonym / hypernym / acronym
-// relations — built on the standard library only. It substitutes for the
-// WordNet-style resources the QMatch paper relies on (see DESIGN.md §2).
+// a label tokenizer, Jaro-Winkler and trigram-Dice string similarity,
+// acronym and abbreviation detectors, and a thesaurus with synonym /
+// hypernym / acronym relations — built on the standard library only. It
+// substitutes for the WordNet-style resources the QMatch paper relies on
+// (see DESIGN.md §2).
 package lingo
 
 import (
@@ -80,15 +81,6 @@ func Tokenize(label string) []string {
 // form for whole-label equality tests: "Unit_Of-Measure" → "unitofmeasure".
 func Normalize(label string) string {
 	return strings.Join(Tokenize(label), "")
-}
-
-// TokenSet returns the distinct tokens of a label.
-func TokenSet(label string) map[string]bool {
-	set := map[string]bool{}
-	for _, t := range Tokenize(label) {
-		set[t] = true
-	}
-	return set
 }
 
 // Singularize strips a regular English plural suffix from a token:

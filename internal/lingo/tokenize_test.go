@@ -47,13 +47,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestTokenSet(t *testing.T) {
-	s := TokenSet("bill to bill")
-	if len(s) != 2 || !s["bill"] || !s["to"] {
-		t.Fatalf("TokenSet = %v", s)
-	}
-}
-
 func TestFirstLetters(t *testing.T) {
 	if got := FirstLetters([]string{"unit", "of", "measure"}); got != "uom" {
 		t.Fatalf("FirstLetters = %q", got)
