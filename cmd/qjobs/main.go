@@ -223,8 +223,8 @@ func cmdSubmit(c *client, args []string, out io.Writer) error {
 }
 
 func printProgress(out io.Writer, p jobs.Progress) {
-	fmt.Fprintf(out, "%s %-9s cells %d/%d shards %d/%d retries %d\n",
-		p.ID, p.Status, p.CompletedCells, p.Cells, p.ShardsDone, p.ShardsTotal, p.Retries)
+	fmt.Fprintf(out, "%s %-9s cells %d/%d shards %d/%d\n",
+		p.ID, p.Status, p.CompletedCells, p.Cells, p.ShardsDone, p.ShardsTotal)
 }
 
 func cmdStatus(c *client, args []string, out io.Writer) error {
@@ -250,8 +250,8 @@ func cmdStatus(c *client, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "error: %s\n", job.Error)
 	}
 	for _, sh := range job.Shards {
-		fmt.Fprintf(out, "  shard %-3d cells [%d,%d) cost %-8d %-8s attempts %d\n",
-			sh.Index, sh.Start, sh.End, sh.Cost, sh.Status, sh.Attempts)
+		fmt.Fprintf(out, "  shard %-3d cells [%d,%d) cost %-8d %s\n",
+			sh.Index, sh.Start, sh.End, sh.Cost, sh.Status)
 	}
 	return nil
 }

@@ -58,8 +58,6 @@
 //	-job-shard-cost N                         pair-table cost budget of one job
 //	                                          shard in srcNodes×tgtNodes units
 //	                                          (default 1048576)
-//	-job-retries N                            re-dispatches of one failed shard
-//	                                          before the job fails (default 3)
 //	-max-job-cells N                          per-job source×target grid cap
 //	                                          (default 65536)
 //	-drain DUR                                shutdown drain budget (default 15s)
@@ -127,7 +125,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	maxJobs := fs.Int("max-jobs", 0, "completed async jobs retained for polling (0 = default 64)")
 	jobWorkers := fs.Int("job-workers", 0, "async job shard workers (0 = half of max-concurrent)")
 	jobShardCost := fs.Int64("job-shard-cost", 0, "pair-table cost budget of one job shard (0 = default 1048576)")
-	jobRetries := fs.Int("job-retries", 0, "re-dispatches of one failed job shard (0 = default 3)")
 	maxJobCells := fs.Int("max-job-cells", 0, "per-job source x target grid cap (0 = default 65536)")
 	drain := fs.Duration("drain", 15*time.Second, "shutdown drain budget")
 	logFormat := fs.String("log", "text", "log format: text or json")
@@ -162,7 +159,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxJobs:        *maxJobs,
 		JobWorkers:     *jobWorkers,
 		JobShardCost:   *jobShardCost,
-		JobRetries:     *jobRetries,
 		MaxJobCells:    *maxJobCells,
 	})
 	if err != nil {

@@ -1,20 +1,18 @@
 // Package jobs implements the asynchronous batch-match subsystem behind
 // qmatchd's /v1/jobs endpoints: a coordinator that partitions a large
 // sources×targets MatchAll grid into shards sized off the compiled
-// schemas' node counts, a worker pool that runs shards through the
-// existing Engine (behind the Executor interface, so a remote qmatchd
-// cluster can replace the in-process pool later), and a bounded job store
-// that clients poll for per-shard progress and stream completed cells
-// from, resumable by cell cursor.
+// schemas' node counts, a fixed pool of worker goroutines that runs each
+// shard once through the existing Engine, and a bounded job store that
+// clients poll for per-shard progress and stream completed cells from,
+// resumable by cell cursor.
 //
-// A submitted job owns a context derived from the manager's lifetime;
-// cancelling the job (DELETE /v1/jobs/{id}) cancels that context and the
-// existing Engine cancellation plumbing stops in-flight pair-table fills
-// between levels. Shards survive worker loss: every dispatch takes a
-// lease, and a reaper re-queues shards whose lease expired without an
-// acknowledgement; failed attempts retry with exponential backoff up to a
-// bound before the whole job fails. Completed jobs are retained for
-// polling until the store's LRU bound evicts them.
+// A submitted job owns a context; cancelling the job (DELETE
+// /v1/jobs/{id}) cancels that context and the existing Engine
+// cancellation plumbing stops in-flight pair-table fills between levels.
+// Matching is deterministic and the workers are goroutines of this
+// process, so a shard is never retried: a shard that fails (in practice,
+// a recovered panic) fails the whole job at once. Completed jobs are
+// retained for polling until the store's LRU bound evicts them.
 //
 // Results are pinned to the synchronous path: each cell's report is
 // serialized with encoding/json exactly as Engine.MatchAll reports are,
@@ -24,8 +22,6 @@
 package jobs
 
 import (
-	"context"
-	"encoding/json"
 	"time"
 
 	"qmatch"
@@ -42,8 +38,8 @@ const (
 	StatusRunning Status = "running"
 	// StatusCompleted marks a job whose every cell has a result.
 	StatusCompleted Status = "completed"
-	// StatusFailed marks a job aborted because a shard exhausted its
-	// retries; Progress.Error carries the last attempt's error.
+	// StatusFailed marks a job aborted because a shard failed;
+	// Progress.Error names the shard and the cause.
 	StatusFailed Status = "failed"
 	// StatusCancelled marks a job aborted by Cancel (or manager shutdown).
 	StatusCancelled Status = "cancelled"
@@ -58,13 +54,14 @@ func (s Status) Terminal() bool {
 type ShardStatus string
 
 const (
-	// ShardPending marks a shard queued (or re-queued) for dispatch.
+	// ShardPending marks a shard queued for a worker.
 	ShardPending ShardStatus = "pending"
-	// ShardRunning marks a shard leased to a worker.
+	// ShardRunning marks a shard a worker has taken.
 	ShardRunning ShardStatus = "running"
 	// ShardDone marks a shard whose results were acknowledged.
 	ShardDone ShardStatus = "done"
-	// ShardFailed marks a shard that exhausted its retries.
+	// ShardFailed marks a shard that failed, or was cut short because its
+	// job ended first.
 	ShardFailed ShardStatus = "failed"
 )
 
@@ -101,48 +98,6 @@ type Spec struct {
 	// Sources/Targets (registry ids, file names); purely informational.
 	SourceIDs []string
 	TargetIDs []string
-}
-
-// Executor runs one shard of one job and returns one serialized Report
-// per cell, aligned with the shard's cell order (cell Start first). The
-// in-process implementation matches through the job's Engine; a cluster
-// executor would ship the shard's artifact ids to a remote worker
-// instead. Execute must honor ctx: a cancelled job's context aborts
-// in-flight fills. An error (or panic — the worker recovers it) marks
-// the attempt failed and the shard is retried with backoff.
-type Executor interface {
-	Execute(ctx context.Context, spec *Spec, shard Shard) ([]json.RawMessage, error)
-}
-
-// EngineExecutor is the in-process Executor: every cell of the shard runs
-// through Engine.MatchCompiledContext on the calling worker goroutine,
-// and the report is serialized compactly with encoding/json — the same
-// serialization a synchronous MatchAll response embeds.
-type EngineExecutor struct {
-	// Engine matches shards whose job carries no override Engine.
-	Engine *qmatch.Engine
-}
-
-// Execute implements Executor.
-func (ex EngineExecutor) Execute(ctx context.Context, spec *Spec, shard Shard) ([]json.RawMessage, error) {
-	eng := spec.Engine
-	if eng == nil {
-		eng = ex.Engine
-	}
-	nt := len(spec.Targets)
-	out := make([]json.RawMessage, 0, shard.Cells())
-	for k := shard.Start; k < shard.End; k++ {
-		rep, err := eng.MatchCompiledContext(ctx, spec.Sources[k/nt], spec.Targets[k%nt])
-		if err != nil {
-			return nil, err
-		}
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, raw)
-	}
-	return out, nil
 }
 
 // Partition splits the sources×targets grid into contiguous row-major
@@ -182,8 +137,6 @@ func Partition(sources, targets []*qmatch.CompiledSchema, budget int64) []Shard 
 type ShardProgress struct {
 	Shard
 	Status ShardStatus `json:"status"`
-	// Attempts counts dispatches of this shard (1 on the happy path).
-	Attempts int `json:"attempts"`
 }
 
 // Progress is a point-in-time snapshot of one job, safe to serialize.
@@ -202,11 +155,10 @@ type Progress struct {
 	Cells   int `json:"cells"`
 	// CompletedCells counts cells with an acknowledged result.
 	CompletedCells int `json:"completedCells"`
-	// ShardsTotal/ShardsDone/Retries summarize shard progress; Shards
-	// carries the per-shard detail when requested.
+	// ShardsTotal/ShardsDone summarize shard progress; Shards carries the
+	// per-shard detail when requested.
 	ShardsTotal int             `json:"shardsTotal"`
 	ShardsDone  int             `json:"shardsDone"`
-	Retries     int             `json:"retries"`
 	Shards      []ShardProgress `json:"shards,omitempty"`
 	// SourceIDs/TargetIDs echo the submission's display names, when given.
 	SourceIDs []string `json:"sourceIds,omitempty"`

@@ -163,93 +163,28 @@ func TestJobCompletesAndMatchesSync(t *testing.T) {
 	}
 }
 
-func TestShardFailureRetriesThenSucceeds(t *testing.T) {
+// A panic in a shard fails its job at once, with the panic text in
+// Progress.Error: the shard is not run again, the job's other shards are
+// never admitted, and the worker lives on to run the next job.
+func TestShardPanicFailsJob(t *testing.T) {
 	eng := testEngine(t)
-	reg := obs.NewRegistry()
-	m := New(Config{Engine: eng, ShardCost: 1, RetryBackoff: time.Millisecond, Metrics: reg})
+	var admitted atomic.Int64
+	var panicking atomic.Bool
+	panicking.Store(true)
+	m := New(Config{Engine: eng, ShardCost: 1, Workers: 1,
+		Gate: func(ctx context.Context) (func(), error) {
+			admitted.Add(1)
+			if panicking.Load() {
+				panic("worker crashed mid-shard")
+			}
+			return func() {}, nil
+		}})
 	defer m.Close()
-	var failed atomic.Int64
-	m.SetFaultInjector(func(jobID string, shard, attempt int) error {
-		if shard == 1 && attempt == 1 {
-			failed.Add(1)
-			return errors.New("injected shard failure")
-		}
-		return nil
-	})
-	j, err := m.Submit("retry", Spec{
+	spec := Spec{
 		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 2)},
 		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 2), xsdFor(t, "c", 2)},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	p := waitTerminal(t, j)
-	if p.Status != StatusCompleted {
-		t.Fatalf("status %s (err %q), want completed despite injected failure", p.Status, p.Error)
-	}
-	if failed.Load() != 1 {
-		t.Fatalf("fault injector fired %d times, want 1", failed.Load())
-	}
-	if p.Retries != 1 {
-		t.Fatalf("retries %d, want 1", p.Retries)
-	}
-	full := j.Progress(true)
-	if full.Shards[1].Attempts != 2 {
-		t.Fatalf("shard 1 attempts %d, want 2", full.Shards[1].Attempts)
-	}
-	if v, ok := reg.Value(MetricShardRetries); !ok || v != 1 {
-		t.Fatalf("retry metric %d (ok=%v), want 1", v, ok)
-	}
-	// The retried attempt leaves a partial shard span plus a complete one.
-	var partial int
-	for _, sp := range j.Trace().Spans {
-		if sp.Phase == obs.PhaseShard && sp.Partial {
-			partial++
-		}
-	}
-	if partial != 1 {
-		t.Fatalf("%d partial shard spans, want 1", partial)
-	}
-}
-
-func TestWorkerPanicRetriesShard(t *testing.T) {
-	eng := testEngine(t)
-	m := New(Config{Engine: eng, RetryBackoff: time.Millisecond})
-	defer m.Close()
-	var panicked atomic.Bool
-	m.SetFaultInjector(func(jobID string, shard, attempt int) error {
-		if attempt == 1 && !panicked.Swap(true) {
-			panic("worker crashed mid-shard")
-		}
-		return nil
-	})
-	j, err := m.Submit("panic", Spec{
-		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 2)},
-		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := waitTerminal(t, j)
-	if p.Status != StatusCompleted {
-		t.Fatalf("status %s (err %q), want completed after panic retry", p.Status, p.Error)
-	}
-	if p.Retries != 1 {
-		t.Fatalf("retries %d, want 1", p.Retries)
-	}
-}
-
-func TestShardExhaustsRetriesFailsJob(t *testing.T) {
-	eng := testEngine(t)
-	m := New(Config{Engine: eng, MaxRetries: 2, RetryBackoff: time.Millisecond})
-	defer m.Close()
-	m.SetFaultInjector(func(jobID string, shard, attempt int) error {
-		return errors.New("persistent failure")
-	})
-	j, err := m.Submit("doomed", Spec{
-		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 2)},
-		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 2)},
-	})
+	j, err := m.Submit("panic", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,42 +192,47 @@ func TestShardExhaustsRetriesFailsJob(t *testing.T) {
 	if p.Status != StatusFailed {
 		t.Fatalf("status %s, want failed", p.Status)
 	}
-	if !strings.Contains(p.Error, "persistent failure") {
-		t.Fatalf("error %q does not name the cause", p.Error)
+	if n := admitted.Load(); n != 1 {
+		t.Fatalf("gate ran %d times, want 1: the panicking shard once, its sibling never", n)
 	}
-	if p.Retries != 2 {
-		t.Fatalf("retries %d, want 2 (MaxRetries)", p.Retries)
+	if !strings.Contains(p.Error, "shard 0") || !strings.Contains(p.Error, "worker crashed mid-shard") {
+		t.Fatalf("error %q does not name the shard and the panic", p.Error)
+	}
+	full := j.Progress(true)
+	if full.Shards[0].Status != ShardFailed || full.Shards[1].Status != ShardPending {
+		t.Fatalf("shard states %s/%s, want failed/pending", full.Shards[0].Status, full.Shards[1].Status)
+	}
+	if j.Trace() == nil {
+		t.Fatal("failed job should still expose its trace")
+	}
+
+	panicking.Store(false)
+	j, err = m.Submit("after-panic", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := waitTerminal(t, j); p.Status != StatusCompleted {
+		t.Fatalf("job after the panic: %s (%s), want completed", p.Status, p.Error)
 	}
 }
 
-// blockingExecutor blocks every Execute until its context is cancelled,
-// then reports the context error; release unblocks remaining calls.
-type blockingExecutor struct {
-	inner   Executor
-	entered chan struct{}
-	mu      sync.Mutex
-	blockON bool
-}
-
-func (b *blockingExecutor) Execute(ctx context.Context, spec *Spec, shard Shard) ([]json.RawMessage, error) {
-	b.mu.Lock()
-	blocked := b.blockON
-	b.mu.Unlock()
-	if blocked {
+// blockingGate holds every shard at admission until its job's context
+// ends, signalling entered (without blocking) as each shard arrives.
+func blockingGate(entered chan struct{}) func(context.Context) (func(), error) {
+	return func(ctx context.Context) (func(), error) {
 		select {
-		case b.entered <- struct{}{}:
+		case entered <- struct{}{}:
 		default:
 		}
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return b.inner.Execute(ctx, spec, shard)
 }
 
 func TestCancelMidShard(t *testing.T) {
 	eng := testEngine(t)
-	be := &blockingExecutor{inner: EngineExecutor{Engine: eng}, entered: make(chan struct{}, 8), blockON: true}
-	m := New(Config{Engine: eng, Executor: be, ShardCost: 1})
+	entered := make(chan struct{}, 8)
+	m := New(Config{Engine: eng, Gate: blockingGate(entered), ShardCost: 1})
 	defer m.Close()
 	j, err := m.Submit("cancelme", Spec{
 		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 3)},
@@ -301,7 +241,7 @@ func TestCancelMidShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-be.entered // at least one shard is genuinely mid-flight
+	<-entered // at least one shard is genuinely mid-flight
 	j.Cancel()
 	p := waitTerminal(t, j)
 	if p.Status != StatusCancelled {
@@ -318,43 +258,6 @@ func TestCancelMidShard(t *testing.T) {
 	if j.Trace() == nil {
 		t.Fatal("cancelled job should still expose its trace")
 	}
-}
-
-func TestLeaseExpiryRequeuesLostShard(t *testing.T) {
-	eng := testEngine(t)
-	var first atomic.Bool
-	be := &hangFirstExecutor{inner: EngineExecutor{Engine: eng}, first: &first}
-	m := New(Config{Engine: eng, Executor: be, LeaseTimeout: 50 * time.Millisecond, RetryBackoff: time.Millisecond})
-	defer m.Close()
-	j, err := m.Submit("lost-worker", Spec{
-		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 2)},
-		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := waitTerminal(t, j)
-	if p.Status != StatusCompleted {
-		t.Fatalf("status %s (err %q), want completed after lease requeue", p.Status, p.Error)
-	}
-	if p.Retries < 1 {
-		t.Fatalf("retries %d, want >= 1 (the reaped lease)", p.Retries)
-	}
-}
-
-// hangFirstExecutor simulates a lost worker: the first Execute ignores
-// results and hangs until the reaper cancels its attempt context.
-type hangFirstExecutor struct {
-	inner Executor
-	first *atomic.Bool
-}
-
-func (h *hangFirstExecutor) Execute(ctx context.Context, spec *Spec, shard Shard) ([]json.RawMessage, error) {
-	if !h.first.Swap(true) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	return h.inner.Execute(ctx, spec, shard)
 }
 
 func TestStoreEvictsCompletedJobsLRU(t *testing.T) {
@@ -375,8 +278,8 @@ func TestStoreEvictsCompletedJobsLRU(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if m.Len() != 2 {
-		t.Fatalf("store holds %d jobs, want 2 (MaxJobs)", m.Len())
+	if n := len(m.List()); n != 2 {
+		t.Fatalf("store holds %d jobs, want 2 (MaxJobs)", n)
 	}
 	if _, err := m.Get("evict-0"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("oldest job should be evicted, got err %v", err)
@@ -405,8 +308,7 @@ func TestStoreEvictsCompletedJobsLRU(t *testing.T) {
 
 func TestActiveJobsNeverEvicted(t *testing.T) {
 	eng := testEngine(t)
-	be := &blockingExecutor{inner: EngineExecutor{Engine: eng}, entered: make(chan struct{}, 8), blockON: true}
-	m := New(Config{Engine: eng, Executor: be, MaxJobs: 1})
+	m := New(Config{Engine: eng, Gate: blockingGate(make(chan struct{})), MaxJobs: 1})
 	defer m.Close()
 	src := []*qmatch.CompiledSchema{xsdFor(t, "a", 2)}
 	tgt := []*qmatch.CompiledSchema{xsdFor(t, "b", 2)}

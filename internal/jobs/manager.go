@@ -18,15 +18,14 @@ import (
 // manager is configured with (qmatchd passes its HTTP registry, so one
 // /metrics scrape carries request, job and runtime series).
 const (
-	MetricJobs         = "qmatchd_jobs_total"       // counter, label status=completed|failed|cancelled
-	MetricJobsActive   = "qmatchd_jobs_active"      // gauge: non-terminal jobs
-	MetricJobShards    = "qmatchd_job_shards_total" // counter: acknowledged shards
-	MetricShardRetries = "qmatchd_job_shard_retries_total"
-	MetricJobCells     = "qmatchd_job_cells_total" // counter: completed cells
-	MetricJobDuration  = "qmatchd_job_duration_seconds"
+	MetricJobs        = "qmatchd_jobs_total"       // counter, label status=completed|failed|cancelled
+	MetricJobsActive  = "qmatchd_jobs_active"      // gauge: non-terminal jobs
+	MetricJobShards   = "qmatchd_job_shards_total" // counter: acknowledged shards
+	MetricJobCells    = "qmatchd_job_cells_total"  // counter: completed cells
+	MetricJobDuration = "qmatchd_job_duration_seconds"
 )
 
-// ErrNotFound is returned by Get/Cancel/Delete for an unknown job id —
+// ErrNotFound is returned by Get and Delete for an unknown job id —
 // never submitted, or already evicted from the bounded store.
 var ErrNotFound = errors.New("jobs: job not found")
 
@@ -36,11 +35,8 @@ var ErrClosed = errors.New("jobs: manager closed")
 // Config tunes a Manager. The zero value is usable: every knob falls
 // back to the documented default.
 type Config struct {
-	// Executor runs shards; nil selects EngineExecutor{Engine}.
-	Executor Executor
-	// Engine backs the default EngineExecutor and jobs without an
-	// override Engine. Required unless Executor is set and every Spec
-	// carries its own Engine.
+	// Engine matches the shards of jobs without an override Engine.
+	// Required unless every Spec carries its own Engine.
 	Engine *qmatch.Engine
 	// Workers bounds the shard workers (default GOMAXPROCS).
 	Workers int
@@ -48,24 +44,14 @@ type Config struct {
 	// sourceNodes×targetNodes units (default 1<<20 — a protein-sized
 	// ~867k-cell pair table still fits one shard). See Partition.
 	ShardCost int64
-	// MaxRetries bounds re-dispatches of one shard after failures
-	// (default 3; the first attempt is not a retry).
-	MaxRetries int
-	// RetryBackoff is the base delay before a failed shard is re-queued;
-	// attempt n waits RetryBackoff×2^(n-1) (default 100ms).
-	RetryBackoff time.Duration
-	// LeaseTimeout bounds how long a dispatched shard may run
-	// unacknowledged before the reaper assumes the worker lost and
-	// re-queues it (default 5m).
-	LeaseTimeout time.Duration
 	// MaxJobs bounds terminal jobs retained for polling; beyond it the
 	// least-recently-accessed terminal job is evicted (default 64).
 	// Active jobs are never evicted.
 	MaxJobs int
-	// Gate, when non-nil, admits every shard attempt: workers call it
-	// before executing and the returned release after. qmatchd wires the
-	// server's concurrency limiter here so job shards share match slots
-	// fairly with synchronous requests.
+	// Gate, when non-nil, admits every shard: workers call it with the
+	// job's context before matching the shard's cells and the returned
+	// release after. qmatchd wires the server's concurrency limiter here
+	// so job shards share match slots fairly with synchronous requests.
 	Gate func(ctx context.Context) (release func(), err error)
 	// Metrics receives the job-subsystem series; nil disables them.
 	Metrics *obs.Registry
@@ -80,20 +66,8 @@ func (c Config) withDefaults() Config {
 	if c.ShardCost == 0 {
 		c.ShardCost = 1 << 20
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.LeaseTimeout <= 0 {
-		c.LeaseTimeout = 5 * time.Minute
-	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 64
-	}
-	if c.Executor == nil {
-		c.Executor = EngineExecutor{Engine: c.Engine}
 	}
 	return c
 }
@@ -101,17 +75,8 @@ func (c Config) withDefaults() Config {
 // shardState is the manager-internal state of one shard.
 type shardState struct {
 	Shard
-	status   ShardStatus
-	attempts int
-	// epoch tokens the current dispatch: a completion is acknowledged
-	// only if its epoch still matches, so a reaped ("lost") worker's
-	// late result is dropped instead of double-writing.
-	epoch int64
-	// deadline is the lease expiry while running.
-	deadline time.Time
-	// abort cancels the in-flight attempt's context (reaper, job cancel).
-	abort context.CancelFunc
-	// span is the open trace span of the in-flight attempt.
+	status ShardStatus
+	// span is the open trace span while the shard runs.
 	span *obs.ActiveSpan
 }
 
@@ -133,7 +98,6 @@ type Job struct {
 	finished time.Time
 	shards   []shardState
 	done     int // acknowledged shards
-	retries  int
 	// results holds one serialized report per cell; ready is the
 	// contiguous-prefix frontier streamed to clients.
 	results        []json.RawMessage
@@ -158,15 +122,13 @@ type task struct {
 }
 
 // Manager is the job coordinator: it partitions submitted grids into
-// shards, feeds them to its worker pool, retries failures, re-queues
-// leases the reaper expires, and retains terminal jobs in a bounded
-// LRU store. Construct with New; Close stops the workers and cancels
-// every active job.
+// shards, feeds them in FIFO order to a fixed pool of worker goroutines
+// that run each shard once, and retains terminal jobs in a bounded LRU
+// store. Construct with New; Close stops the workers and cancels every
+// active job.
 type Manager struct {
-	cfg  Config
-	ctx  context.Context
-	stop context.CancelFunc
-	wg   sync.WaitGroup
+	cfg Config
+	wg  sync.WaitGroup
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -174,28 +136,20 @@ type Manager struct {
 	jobs   map[string]*Job
 	closed bool
 
-	// fault, when non-nil, is consulted before every shard attempt;
-	// a non-nil error fails the attempt. Tests inject shard failures
-	// through SetFaultInjector to exercise the retry path.
-	fault func(jobID string, shard, attempt int) error
-
-	active       *obs.Gauge
-	shardsDone   *obs.Counter
-	shardRetries *obs.Counter
-	cellsDone    *obs.Counter
-	jobDur       *obs.Histogram
+	active     *obs.Gauge
+	shardsDone *obs.Counter
+	cellsDone  *obs.Counter
+	jobDur     *obs.Histogram
 }
 
-// New builds a Manager and starts its worker pool and lease reaper.
+// New builds a Manager and starts its worker pool.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{cfg: cfg, jobs: make(map[string]*Job)}
 	m.cond = sync.NewCond(&m.mu)
-	m.ctx, m.stop = context.WithCancel(context.Background())
 	if cfg.Metrics != nil {
 		m.active = cfg.Metrics.Gauge(MetricJobsActive)
 		m.shardsDone = cfg.Metrics.Counter(MetricJobShards)
-		m.shardRetries = cfg.Metrics.Counter(MetricShardRetries)
 		m.cellsDone = cfg.Metrics.Counter(MetricJobCells)
 		m.jobDur = cfg.Metrics.Histogram(MetricJobDuration, nil)
 	}
@@ -203,22 +157,11 @@ func New(cfg Config) *Manager {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	m.wg.Add(1)
-	go m.reaper()
 	return m
 }
 
-// SetFaultInjector installs (or clears, with nil) a hook consulted before
-// every shard attempt; returning a non-nil error fails that attempt as if
-// the executor had. Tests use it to force the retry path deterministically.
-func (m *Manager) SetFaultInjector(f func(jobID string, shard, attempt int) error) {
-	m.mu.Lock()
-	m.fault = f
-	m.mu.Unlock()
-}
-
 // Close stops accepting submissions, cancels every active job (they
-// finish as cancelled) and waits for the workers and reaper to exit.
+// finish as cancelled) and waits for the workers to exit.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -235,7 +178,6 @@ func (m *Manager) Close() {
 	for _, j := range jobs {
 		j.Cancel()
 	}
-	m.stop()
 	m.cond.Broadcast()
 	m.wg.Wait()
 }
@@ -270,7 +212,7 @@ func (m *Manager) Submit(id string, spec Spec) (*Job, error) {
 	for i, sh := range shards {
 		j.shards[i] = shardState{Shard: sh, status: ShardPending}
 	}
-	j.ctx, j.cancel = context.WithCancel(m.ctx)
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 
 	m.mu.Lock()
 	if m.closed {
@@ -342,17 +284,6 @@ func less(a, b Progress) bool {
 	return a.ID < b.ID
 }
 
-// Cancel cancels an active job (terminal jobs are left untouched); it
-// returns the job's resulting progress or ErrNotFound.
-func (m *Manager) Cancel(id string) (Progress, error) {
-	j, err := m.Get(id)
-	if err != nil {
-		return Progress{}, err
-	}
-	j.Cancel()
-	return j.Progress(false), nil
-}
-
 // Delete removes a terminal job from the store (polling it afterwards is
 // ErrNotFound). An active job is cancelled instead and retained for a
 // final poll. The returned progress reflects the job's final state.
@@ -374,13 +305,6 @@ func (m *Manager) Delete(id string) (Progress, error) {
 	return j.Progress(false), nil
 }
 
-// Len returns the number of retained jobs (active + terminal).
-func (m *Manager) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.jobs)
-}
-
 // next blocks until a task is available or the manager closes.
 func (m *Manager) next() (task, bool) {
 	m.mu.Lock()
@@ -396,16 +320,6 @@ func (m *Manager) next() (task, bool) {
 	return t, true
 }
 
-// enqueue re-queues a task (retry, reaped lease).
-func (m *Manager) enqueue(t task) {
-	m.mu.Lock()
-	if !m.closed {
-		m.queue = append(m.queue, t)
-		m.cond.Signal()
-	}
-	m.mu.Unlock()
-}
-
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
@@ -417,16 +331,13 @@ func (m *Manager) worker() {
 	}
 }
 
-// runShard executes one dispatch of one shard: lease it, admit it
-// through the gate, run the executor with panic containment, and
-// acknowledge or retry.
+// runShard runs one shard once: admit it through the gate, match its
+// cells and record the outcome.
 func (m *Manager) runShard(t task) {
 	j := t.job
 	j.mu.Lock()
-	ss := &j.shards[t.shard]
-	if j.status.Terminal() || ss.status == ShardDone || ss.status == ShardRunning {
-		// Cancelled job, duplicate re-queue, or a reaped shard that was
-		// re-dispatched before this stale task drained — nothing to run.
+	if j.status.Terminal() {
+		// Cancelled or failed while this shard waited in the queue.
 		j.mu.Unlock()
 		return
 	}
@@ -435,144 +346,103 @@ func (m *Manager) runShard(t task) {
 		j.started = time.Now()
 		j.broadcastLocked()
 	}
+	ss := &j.shards[t.shard]
 	ss.status = ShardRunning
-	ss.attempts++
-	ss.epoch++
-	epoch := ss.epoch
-	attempt := ss.attempts
-	ss.deadline = time.Now().Add(m.cfg.LeaseTimeout)
-	attemptCtx, abort := context.WithCancel(j.ctx)
-	ss.abort = abort
 	ss.span = j.jobSpan.Child(obs.PhaseShard)
 	ss.span.SetCells(int64(ss.Cells()))
 	ss.span.SetLevel(ss.Index + 1)
 	shard := ss.Shard
 	j.mu.Unlock()
-	defer abort()
 
-	results, err := m.execute(attemptCtx, j, shard, attempt)
-	m.ack(j, t.shard, epoch, results, err)
+	results, err := m.execute(j, shard)
+	m.ack(j, shard, results, err)
 }
 
-// execute runs one attempt through the gate and executor, converting
-// panics into errors so a crashing worker loses only the attempt.
-func (m *Manager) execute(ctx context.Context, j *Job, shard Shard, attempt int) (results []json.RawMessage, err error) {
+// execute admits the shard through the gate and matches its cells through
+// the job's Engine, serializing each report with encoding/json exactly as
+// a synchronous MatchAll response embeds it. A panic is recovered into
+// the returned error, so it costs the job, not the process.
+func (m *Manager) execute(j *Job, shard Shard) (results []json.RawMessage, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("jobs: shard panic: %v", p)
+			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
 	if gate := m.cfg.Gate; gate != nil {
-		release, gerr := gate(ctx)
-		if gerr != nil {
-			return nil, gerr
+		release, err := gate(j.ctx)
+		if err != nil {
+			return nil, err
 		}
 		defer release()
 	}
-	m.mu.Lock()
-	fault := m.fault
-	m.mu.Unlock()
-	if fault != nil {
-		if ferr := fault(j.id, shard.Index, attempt); ferr != nil {
-			return nil, ferr
-		}
+	eng := j.spec.Engine
+	if eng == nil {
+		eng = m.cfg.Engine
 	}
-	return m.cfg.Executor.Execute(ctx, &j.spec, shard)
+	nt := len(j.spec.Targets)
+	results = make([]json.RawMessage, 0, shard.Cells())
+	for k := shard.Start; k < shard.End; k++ {
+		rep, err := eng.MatchCompiledContext(j.ctx, j.spec.Sources[k/nt], j.spec.Targets[k%nt])
+		if err != nil {
+			return nil, err
+		}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, raw)
+	}
+	return results, nil
 }
 
-// ack records the outcome of one dispatch. Late results whose epoch no
-// longer matches (the reaper re-queued the shard) are dropped.
-func (m *Manager) ack(j *Job, shard int, epoch int64, results []json.RawMessage, err error) {
+// ack records a shard's outcome. An error fails the job at once and
+// cancels its other shards; a shard whose job already ended (cancelled,
+// or failed by another shard) leaves the job as it is.
+func (m *Manager) ack(j *Job, shard Shard, results []json.RawMessage, err error) {
 	j.mu.Lock()
-	ss := &j.shards[shard]
-	if ss.epoch != epoch || ss.status != ShardRunning {
-		j.mu.Unlock()
-		return
-	}
-	ss.abort = nil
-	if err == nil && len(results) != ss.Cells() {
-		err = fmt.Errorf("jobs: executor returned %d results for a %d-cell shard", len(results), ss.Cells())
-	}
+	ss := &j.shards[shard.Index]
 	if j.status.Terminal() {
-		// Cancelled (or failed) while this attempt was in flight: close
-		// the span as partial and keep the terminal state.
+		// Ending the job closed its trace, this shard's span included.
 		ss.status = ShardFailed
-		ss.span.MarkPartial()
-		ss.span.End()
-		ss.span = nil
 		j.mu.Unlock()
 		return
 	}
 	if err != nil {
-		ss.span.MarkPartial()
-		ss.span.End()
-		ss.span = nil
-		if ss.attempts > m.cfg.MaxRetries {
-			ss.status = ShardFailed
-			m.failLocked(j, fmt.Sprintf("shard %d failed after %d attempts: %v", shard, ss.attempts, err))
-			j.mu.Unlock()
-			return
-		}
-		ss.status = ShardPending
-		j.retries++
-		backoff := m.cfg.RetryBackoff << (ss.attempts - 1)
+		ss.status = ShardFailed
+		j.errMsg = fmt.Sprintf("shard %d: %v", shard.Index, err)
+		j.endLocked(StatusFailed)
 		j.mu.Unlock()
-		m.shardRetries.Inc() // nil-safe
-		if m.cfg.Logger != nil {
-			m.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "job shard retry",
-				slog.String("job", j.id), slog.Int("shard", shard),
-				slog.Int("attempt", int(epoch)), slog.Duration("backoff", backoff),
-				slog.String("error", err.Error()))
-		}
-		time.AfterFunc(backoff, func() { m.enqueue(task{job: j, shard: shard}) })
+		j.cancel()
+		m.finalize(j, StatusFailed)
 		return
 	}
 	ss.status = ShardDone
 	ss.span.End()
 	ss.span = nil
-	copy(j.results[ss.Start:ss.End], results)
-	j.completedCells += ss.Cells()
+	copy(j.results[shard.Start:shard.End], results)
+	j.completedCells += shard.Cells()
 	for j.ready < len(j.results) && j.results[j.ready] != nil {
 		j.ready++
 	}
 	j.done++
 	finished := j.done == len(j.shards)
 	if finished {
-		j.status = StatusCompleted
-		j.finished = time.Now()
-		j.finalTrace = j.finishTraceLocked()
+		j.endLocked(StatusCompleted)
+	} else {
+		j.broadcastLocked()
 	}
-	cells := ss.Cells()
-	j.broadcastLocked()
 	j.mu.Unlock()
 	m.shardsDone.Inc()
-	m.cellsDone.Add(int64(cells))
+	m.cellsDone.Add(int64(shard.Cells()))
 	if finished {
 		m.finalize(j, StatusCompleted)
 	}
 }
 
-// failLocked moves a job to failed and cancels its remaining work.
-// Callers hold j.mu; the metric/log side effects run asynchronously.
-func (m *Manager) failLocked(j *Job, msg string) {
-	if j.status.Terminal() {
-		return
-	}
-	j.status = StatusFailed
-	j.errMsg = msg
-	j.finished = time.Now()
-	j.finalTrace = j.finishTraceLocked()
-	j.broadcastLocked()
-	cancel := j.cancel
-	go func() {
-		cancel()
-		m.finalize(j, StatusFailed)
-	}()
-}
-
-// finishTraceLocked closes the job span and snapshots the job trace.
-// Callers hold j.mu.
-func (j *Job) finishTraceLocked() *obs.MatchTrace {
+// endLocked moves the job to a terminal status, closes its trace (a shard
+// span still open is marked partial) and wakes every waiter. Callers hold
+// j.mu, and call finalize once they release it.
+func (j *Job) endLocked(status Status) {
 	for i := range j.shards {
 		if sp := j.shards[i].span; sp != nil {
 			sp.MarkPartial()
@@ -581,7 +451,10 @@ func (j *Job) finishTraceLocked() *obs.MatchTrace {
 		}
 	}
 	j.jobSpan.End()
-	return j.trace.Finish()
+	j.status = status
+	j.finished = time.Now()
+	j.finalTrace = j.trace.Finish()
+	j.broadcastLocked()
 }
 
 // finalize records terminal metrics/logs and evicts over-bound terminal
@@ -594,6 +467,7 @@ func (m *Manager) finalize(j *Job, status Status) {
 	j.mu.Lock()
 	elapsed := j.finished.Sub(j.created)
 	cells := j.completedCells
+	errMsg := j.errMsg
 	j.mu.Unlock()
 	m.jobDur.Observe(elapsed.Seconds())
 	if m.cfg.Logger != nil {
@@ -601,9 +475,12 @@ func (m *Manager) finalize(j *Job, status Status) {
 		if status != StatusCompleted {
 			level = slog.LevelWarn
 		}
-		m.cfg.Logger.LogAttrs(context.Background(), level, "job "+string(status),
-			slog.String("job", j.id), slog.Int("cells", cells),
-			slog.Duration("elapsed", elapsed))
+		attrs := []slog.Attr{slog.String("job", j.id), slog.Int("cells", cells),
+			slog.Duration("elapsed", elapsed)}
+		if errMsg != "" {
+			attrs = append(attrs, slog.String("error", errMsg))
+		}
+		m.cfg.Logger.LogAttrs(context.Background(), level, "job "+string(status), attrs...)
 	}
 	m.evict()
 }
@@ -639,97 +516,21 @@ func (m *Manager) evict() {
 	}
 }
 
-// reaper re-queues running shards whose lease expired — the in-process
-// analogue of a cluster worker dying mid-shard. The expired attempt's
-// context is cancelled (the Engine aborts its fill between levels) and
-// its eventual late ack is dropped by the epoch check.
-func (m *Manager) reaper() {
-	defer m.wg.Done()
-	interval := m.cfg.LeaseTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case <-tick.C:
-		}
-		m.mu.Lock()
-		jobs := make([]*Job, 0, len(m.jobs))
-		for _, j := range m.jobs {
-			jobs = append(jobs, j)
-		}
-		m.mu.Unlock()
-		now := time.Now()
-		for _, j := range jobs {
-			var requeue []task
-			j.mu.Lock()
-			if j.status.Terminal() {
-				j.mu.Unlock()
-				continue
-			}
-			for i := range j.shards {
-				ss := &j.shards[i]
-				if ss.status != ShardRunning || now.Before(ss.deadline) {
-					continue
-				}
-				if ss.abort != nil {
-					ss.abort()
-					ss.abort = nil
-				}
-				if ss.span != nil {
-					ss.span.MarkPartial()
-					ss.span.End()
-					ss.span = nil
-				}
-				ss.status = ShardPending
-				ss.epoch++ // invalidate the lost attempt's ack
-				j.retries++
-				m.shardRetries.Inc()
-				if m.cfg.Logger != nil {
-					m.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "job shard lease expired",
-						slog.String("job", j.id), slog.Int("shard", i),
-						slog.Int("attempts", ss.attempts))
-				}
-				requeue = append(requeue, task{job: j, shard: i})
-			}
-			j.mu.Unlock()
-			// Enqueue outside j.mu: enqueue takes m.mu, and evict holds
-			// m.mu while taking j.mu — same order everywhere or deadlock.
-			for _, t := range requeue {
-				m.enqueue(t)
-			}
-		}
-	}
-}
-
 // Cancel moves the job to cancelled (no-op when already terminal) and
-// cancels its context; in-flight shard attempts abort between fill
-// levels through the Engine's existing cancellation plumbing.
+// cancels its context; a shard waiting at the gate gives up its wait, and
+// a running one aborts its fill through the Engine's cancellation
+// plumbing.
 func (j *Job) Cancel() {
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.status = StatusCancelled
-	j.finished = time.Now()
-	j.finalTrace = j.finishTraceLocked()
-	j.broadcastLocked()
-	mgr := j.manager()
+	j.endLocked(StatusCancelled)
 	j.mu.Unlock()
 	j.cancel()
-	if mgr != nil {
-		mgr.finalize(j, StatusCancelled)
-	}
+	j.mgr.finalize(j, StatusCancelled)
 }
-
-// manager is a backref for Cancel's finalize; stored lazily to keep Job
-// construction simple.
-func (j *Job) manager() *Manager { return j.mgr }
 
 // Progress snapshots the job; withShards includes per-shard detail.
 func (j *Job) Progress(withShards bool) Progress {
@@ -746,7 +547,6 @@ func (j *Job) Progress(withShards bool) Progress {
 		CompletedCells: j.completedCells,
 		ShardsTotal:    len(j.shards),
 		ShardsDone:     j.done,
-		Retries:        j.retries,
 		SourceIDs:      j.spec.SourceIDs,
 		TargetIDs:      j.spec.TargetIDs,
 	}
@@ -762,9 +562,8 @@ func (j *Job) Progress(withShards bool) Progress {
 		p.Shards = make([]ShardProgress, len(j.shards))
 		for i := range j.shards {
 			p.Shards[i] = ShardProgress{
-				Shard:    j.shards[i].Shard,
-				Status:   j.shards[i].status,
-				Attempts: j.shards[i].attempts,
+				Shard:  j.shards[i].Shard,
+				Status: j.shards[i].status,
 			}
 		}
 	}
@@ -772,7 +571,7 @@ func (j *Job) Progress(withShards bool) Progress {
 }
 
 // Trace returns the job's finished hierarchical trace (job span with one
-// child span per shard attempt), or nil while the job is still active.
+// child span per started shard), or nil while the job is still active.
 func (j *Job) Trace() *obs.MatchTrace {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -23,9 +23,8 @@ import (
 // parent of the pipeline phases) and "level" (one height level of a
 // parallel pair-table fill, child of "pairtable"). The async job subsystem
 // adds "job" (one submitted MatchAll job end to end) and "shard" (one
-// dispatched attempt at a shard of the job's pair grid, child of "job" —
-// a retried shard contributes one span per attempt, failed attempts marked
-// partial).
+// shard of the job's pair grid, child of "job" — a shard that failed or
+// was cut short by the job's end is marked partial).
 type Phase string
 
 const (

@@ -84,6 +84,8 @@ type Registry struct {
 	// WithRematchState), so a Put replacing one side refreshes them
 	// incrementally via Engine.Rematch instead of recomputing from scratch.
 	matches map[matchKey]*qmatch.Report
+	// quarantined lists the blobs Open moved aside; see Quarantined.
+	quarantined []string
 }
 
 // matchKey identifies one cached pair match by registry ids.
@@ -97,9 +99,14 @@ const maxCachedMatches = 512
 // Open returns a registry backed by dir, creating the directory if needed
 // and loading every artifact blob (*.qma) already present — a restarted
 // service resumes with its full corpus. An empty dir selects a
-// memory-only registry. A blob that fails to decode aborts Open with an
-// error naming the file: a corrupt store is a condition to surface, not
-// to silently shrink.
+// memory-only registry.
+//
+// A blob that fails to decode is renamed to <id>.qma.corrupt and skipped,
+// and Quarantined names it. Put does not fsync, so a crash can leave a
+// truncated blob; refusing the whole store over it would keep the service
+// down for one torn entry, while the rest of the corpus is intact. Open
+// also removes the .put-* temp files a crash between write and rename
+// leaves behind. I/O errors still abort Open.
 func Open(dir string) (*Registry, error) {
 	r := &Registry{
 		dir:     dir,
@@ -111,6 +118,15 @@ func Open(dir string) (*Registry, error) {
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: open %s: %w", dir, err)
+	}
+	temps, err := filepath.Glob(filepath.Join(dir, ".put-*"))
+	if err != nil {
+		return nil, fmt.Errorf("registry: open %s: %w", dir, err)
+	}
+	for _, path := range temps {
+		if err := os.Remove(path); err != nil {
+			return nil, fmt.Errorf("registry: open %s: %w", dir, err)
+		}
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "*"+ext))
 	if err != nil {
@@ -127,12 +143,20 @@ func Open(dir string) (*Registry, error) {
 		}
 		cs, err := qmatch.DecodeCompiled(bytes.NewReader(blob))
 		if err != nil {
-			return nil, fmt.Errorf("registry: load %s: %w", path, err)
+			if err := os.Rename(path, path+".corrupt"); err != nil {
+				return nil, fmt.Errorf("registry: quarantine %s: %w", path, err)
+			}
+			r.quarantined = append(r.quarantined, path+".corrupt")
+			continue
 		}
 		r.schemas[id] = cs
 	}
 	return r, nil
 }
+
+// Quarantined returns the paths of the blobs Open could not decode and
+// renamed to <id>.qma.corrupt, in file-name order.
+func (r *Registry) Quarantined() []string { return r.quarantined }
 
 // Dir returns the backing directory ("" for memory-only).
 func (r *Registry) Dir() string { return r.dir }

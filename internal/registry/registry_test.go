@@ -132,13 +132,57 @@ func TestDiskPersistence(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsCorruptBlob(t *testing.T) {
+// A blob truncated at any offset (a crash mid-Put) costs Open that entry
+// alone: the blob is renamed aside as .corrupt and reported, the other two
+// entries load, and stale .put-* temp files are removed.
+func TestOpenQuarantinesTruncatedBlob(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "broken"+ext), []byte("QMSC garbage garbage garbage garbage garbage garbage"), 0o644); err != nil {
+	reg, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("Open loaded a corrupt blob without error")
+	for id, root := range map[string]*xmltree.Node{"po1": dataset.PO1(), "po2": dataset.PO2(), "book": dataset.Book()} {
+		if err := reg.Put(id, compileT(t, root)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, "book"+ext)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, ".put-123456")
+	if err := os.WriteFile(stale, blob[:7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(blob); n++ {
+		if err := os.WriteFile(path, blob[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(dir)
+		if err != nil {
+			t.Fatalf("truncated at %d of %d bytes: Open: %v", n, len(blob), err)
+		}
+		if reopened.Len() != 2 || !reopened.Has("po1") || !reopened.Has("po2") {
+			t.Fatalf("truncated at %d: loaded %+v, want po1 and po2", n, reopened.List())
+		}
+		if q := reopened.Quarantined(); len(q) != 1 || q[0] != path+".corrupt" {
+			t.Fatalf("truncated at %d: quarantined %v, want [%s.corrupt]", n, q, path)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("truncated at %d: blob left in place (stat err %v)", n, err)
+		}
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived Open (stat err %v)", err)
+	}
+	// With the torn blob gone, the next Open finds nothing to quarantine.
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.Len() != 2 || len(reopened.Quarantined()) != 0 {
+		t.Fatalf("clean reopen: len %d, quarantined %v", reopened.Len(), reopened.Quarantined())
 	}
 }
 

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 const clientTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -118,21 +120,15 @@ func TestLogLinesCarryTraceID(t *testing.T) {
 }
 
 // /debug/requests lists a request while it is in flight, with its route,
-// trace ID and age.
+// trace ID and age. A request queued for a match slot is in flight too.
 func TestDebugRequestsInflight(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1})
 	ds := httptest.NewServer(s.DebugHandler())
 	defer ds.Close()
 
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	var once bool
-	s.holdMatch = func() {
-		if !once {
-			once = true
-			close(entered)
-			<-release
-		}
+	// Hold the only slot, so the request below waits in the queue.
+	if err := s.limiter.acquire(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -140,32 +136,34 @@ func TestDebugRequestsInflight(t *testing.T) {
 		postWithHeaders(t, ts.URL+"/v1/match", matchBody(poSourceXSD, poTargetXSD),
 			map[string]string{"traceparent": clientTraceparent})
 	}()
-	<-entered
-
-	resp, err := http.Get(ds.URL + "/debug/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := readAll(t, resp)
-	resp.Body.Close()
-	close(release)
-	<-done
 
 	var table struct {
 		Requests []inflightEntry `json:"requests"`
 	}
-	if err := json.Unmarshal(body, &table); err != nil {
-		t.Fatalf("/debug/requests is not JSON: %v\n%s", err, body)
-	}
 	var found *inflightEntry
-	for i := range table.Requests {
-		if table.Requests[i].TraceID == clientTraceID {
-			found = &table.Requests[i]
+	var body []byte
+	for deadline := time.Now().Add(10 * time.Second); found == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight request not listed:\n%s", body)
+		}
+		resp, err := http.Get(ds.URL + "/debug/requests")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = readAll(t, resp)
+		resp.Body.Close()
+		table.Requests = nil
+		if err := json.Unmarshal(body, &table); err != nil {
+			t.Fatalf("/debug/requests is not JSON: %v\n%s", err, body)
+		}
+		for i := range table.Requests {
+			if table.Requests[i].TraceID == clientTraceID {
+				found = &table.Requests[i]
+			}
 		}
 	}
-	if found == nil {
-		t.Fatalf("in-flight request not listed:\n%s", body)
-	}
+	s.limiter.release()
+	<-done
 	if found.Route != "match" || found.Method != http.MethodPost {
 		t.Fatalf("in-flight row = %+v", *found)
 	}
@@ -174,7 +172,7 @@ func TestDebugRequestsInflight(t *testing.T) {
 	}
 
 	// After completion the table drains.
-	resp, err = http.Get(ds.URL + "/debug/requests")
+	resp, err := http.Get(ds.URL + "/debug/requests")
 	if err != nil {
 		t.Fatal(err)
 	}

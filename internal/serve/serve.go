@@ -37,6 +37,7 @@ const (
 	MetricShed          = "qmatchd_http_shed_total"
 	MetricEngineBuilds  = "qmatchd_engine_builds_total"
 	MetricEnginesPooled = "qmatchd_engines_pooled"
+	MetricQuarantined   = "qmatchd_registry_quarantined_total"
 )
 
 // Config tunes a Server. The zero value is usable: every limit falls back
@@ -93,8 +94,6 @@ type Config struct {
 	// JobShardCost is the pair-table cost budget of one job shard, in
 	// sourceNodes×targetNodes units (default 1<<20).
 	JobShardCost int64
-	// JobRetries bounds re-dispatches of one failed shard (default 3).
-	JobRetries int
 	// MaxJobCells caps the source×target grid of one submitted job
 	// (default 65536). Oversized submissions fail with 400 — the
 	// synchronous MaxPairs cap does not apply to jobs.
@@ -171,13 +170,6 @@ type Server struct {
 	tracker  *requestTracker // debug plane: in-flight + slow tables
 
 	draining atomic.Bool
-
-	// holdMatch, when non-nil, runs inside the limited section of every
-	// matching request, after the slot is acquired and the deadline
-	// context started, before the Engine runs. Tests use it to pin the
-	// limiter saturated or to force a deadline past expiry
-	// deterministically.
-	holdMatch func()
 }
 
 // New builds a Server, compiling the default Engine from cfg.Options. The
@@ -215,7 +207,12 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	s.reg.Counter(MetricQuarantined).Add(int64(len(s.registry.Quarantined())))
 	if cfg.RegistryDir != "" && cfg.Logger != nil {
+		for _, path := range s.registry.Quarantined() {
+			cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "registry blob quarantined",
+				slog.String("path", path))
+		}
 		cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "registry loaded",
 			slog.String("dir", cfg.RegistryDir), slog.Int("schemas", s.registry.Len()))
 	}
@@ -229,15 +226,14 @@ func New(cfg Config) (*Server, error) {
 	obs.RegisterRuntimeGauges(s.reg, "qmatchd")
 	s.builds.Inc()
 	// The async job coordinator shares the admission limiter: every shard
-	// attempt waits for a match slot (without the shed bound — no client
+	// waits for a match slot (without the shed bound — no client
 	// connection is held open), so background jobs and interactive
 	// requests draw from one concurrency budget.
 	s.jobs = jobs.New(jobs.Config{
-		Engine:     s.engine,
-		Workers:    cfg.JobWorkers,
-		ShardCost:  cfg.JobShardCost,
-		MaxRetries: cfg.JobRetries,
-		MaxJobs:    cfg.MaxJobs,
+		Engine:    s.engine,
+		Workers:   cfg.JobWorkers,
+		ShardCost: cfg.JobShardCost,
+		MaxJobs:   cfg.MaxJobs,
 		Gate: func(ctx context.Context) (func(), error) {
 			if err := s.limiter.wait(ctx); err != nil {
 				return nil, err
@@ -249,10 +245,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	return s, nil
 }
-
-// Jobs returns the server's async job coordinator (tests inject shard
-// faults through it).
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
 // Close releases the server's background resources: the job coordinator's
 // workers stop and every active job is cancelled. Call it after the HTTP
@@ -476,9 +468,6 @@ func (s *Server) limited(w http.ResponseWriter, r *http.Request, timeoutMs int64
 		return
 	}
 	defer s.limiter.release()
-	if s.holdMatch != nil {
-		s.holdMatch()
-	}
 	fn(ctx)
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -153,13 +154,11 @@ func TestMatchTraceAndOverrides(t *testing.T) {
 // asked for tracing, carries the aborted pipeline's partial spans as the
 // diagnostic body.
 func TestDeadlineExceeded504PartialTrace(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	// Force the deadline past expiry before the engine runs: the fill
-	// then aborts at its first cancellation check, deterministically.
-	s.holdMatch = func() { time.Sleep(20 * time.Millisecond) }
-
-	big := xsd.Render(synth.Generate(synth.Config{Seed: 7, Elements: 60}))
-	req := matchBody(big, big)
+	_, ts := newTestServer(t, Config{})
+	// A 200×600-element pair takes far longer than the 1 ms deadline, so
+	// the match is cut short mid-pipeline.
+	req := matchBody(xsd.Render(synth.Generate(synth.Config{Seed: 7, Elements: 200})),
+		xsd.Render(synth.Generate(synth.Config{Seed: 8, Elements: 600})))
 	req.Trace = true
 	req.TimeoutMs = 1
 	resp, body := post(t, ts.URL+"/v1/match", req)
@@ -265,22 +264,10 @@ func TestOversizedBody413(t *testing.T) {
 // shed immediately with 429 and the shed counter advances.
 func TestLimiterSaturation429(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 0})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.holdMatch = func() {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
+	// Hold the only slot, as a running match would.
+	if err := s.limiter.acquire(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-
-	firstDone := make(chan int)
-	go func() {
-		resp, _ := post(t, ts.URL+"/v1/match", matchBody(poSourceXSD, poTargetXSD))
-		firstDone <- resp.StatusCode
-	}()
-	<-entered // the first request now owns the only slot
 
 	resp, body := post(t, ts.URL+"/v1/match", matchBody(poSourceXSD, poTargetXSD))
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -292,10 +279,70 @@ func TestLimiterSaturation429(t *testing.T) {
 	if shed, _ := s.reg.Value(MetricShed); shed != 1 {
 		t.Errorf("shed counter %d, want 1", shed)
 	}
-	close(release)
-	if code := <-firstDone; code != http.StatusOK {
-		t.Errorf("held request finished %d, want 200", code)
+	s.limiter.release()
+	if resp, body := post(t, ts.URL+"/v1/match", matchBody(poSourceXSD, poTargetXSD)); resp.StatusCode != http.StatusOK {
+		t.Errorf("status %d once the slot is free, want 200: %s", resp.StatusCode, body)
 	}
+}
+
+// A client that disconnects from a large /v1/match frees its admission
+// slot long before the match would have finished: the request context's
+// cancellation reaches the running fill.
+func TestClientDisconnectFreesSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 0})
+	body, err := json.Marshal(matchBody(xsd.Render(synth.Generate(synth.Config{Seed: 7, Elements: 400})),
+		xsd.Render(synth.Generate(synth.Config{Seed: 8, Elements: 1500}))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// awaitSlot polls until the only slot is taken (or free) and returns
+	// when it saw that happen.
+	awaitSlot := func(taken bool) time.Time {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); (len(s.limiter.sem) == 1) != taken; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("slot taken=%v not reached in 30s", taken)
+			}
+		}
+		return time.Now()
+	}
+	// send posts the pair under ctx and reports the request's error, if
+	// any, on the returned channel.
+	send := func(ctx context.Context) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/match", bytes.NewReader(body))
+			if err == nil {
+				var resp *http.Response
+				if resp, err = http.DefaultClient.Do(req); err == nil {
+					_, err = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+			done <- err
+		}()
+		return done
+	}
+
+	// One full match times the slot's hold on this server.
+	done := send(context.Background())
+	taken := awaitSlot(true)
+	full := awaitSlot(false).Sub(taken)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done = send(ctx)
+	awaitSlot(true)
+	cancel()
+	cut := time.Now()
+	freed := awaitSlot(false).Sub(cut)
+	<-done
+	if freed > full/4 {
+		t.Fatalf("slot freed %v after the disconnect, want under a quarter of the %v full match", freed, full)
+	}
+	t.Logf("slot freed %v after the disconnect; a full match holds it %v", freed, full)
 }
 
 // Malformed and invalid requests fail with 400s that name the problem;
