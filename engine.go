@@ -2,6 +2,7 @@ package qmatch
 
 import (
 	"context"
+	"errors"
 	"log/slog"
 	"runtime"
 	"sort"
@@ -35,7 +36,8 @@ import (
 // functions are thin wrappers: option-less calls share one lazily built
 // default Engine, and calls with options build a throwaway Engine each.
 // Services matching many schema pairs with their own options should build
-// one Engine and reuse it, batching with MatchAll where possible.
+// one Engine and reuse it, batching with MatchAll where possible, and
+// derive per-task variants from it with With.
 type Engine struct {
 	cfg         config
 	weights     core.AxisWeights
@@ -45,8 +47,8 @@ type Engine struct {
 
 	// Observability (DESIGN.md §"Observability"). The registry always
 	// exists, but per-match collection, tracing and logging are opt-in via
-	// WithObserver/WithLogger; with all three off the match path reduces
-	// to one boolean check.
+	// WithObserver; with all three off the match path reduces to one
+	// boolean check.
 	metrics *obs.Registry
 	logger  *slog.Logger
 	collect bool // per-match metric collection (Observer.Metrics)
@@ -72,24 +74,48 @@ type engineMetrics struct {
 // an unknown algorithm, weights with a negative component or all
 // components zero, thresholds outside [0,1], or negative parallelism.
 func NewEngine(opts ...Option) (*Engine, error) {
-	cfg := newConfig()
+	return newEngine(*newConfig(), nil, opts)
+}
+
+// With returns an Engine configured like e with opts applied on top, in
+// the manner of slog.Logger.With. The new Engine shares e's merged
+// thesaurus, its name-matcher pool and its metrics registry: deriving one
+// merges nothing, its first match starts warm, and its observed matches
+// count in e's metrics. Options that would change the thesaurus
+// (WithThesaurus, WithoutBuiltinThesaurus) are rejected; any other
+// invalid option fails exactly as it fails NewEngine.
+func (e *Engine) With(opts ...Option) (*Engine, error) {
+	return newEngine(e.cfg, e, opts)
+}
+
+// newEngine is the one Engine constructor: it applies opts over cfg,
+// validates the result and compiles it. A nil base merges a fresh
+// thesaurus and starts an empty name-matcher pool and metrics registry;
+// otherwise the Engine shares base's.
+func newEngine(cfg config, base *Engine, opts []Option) (*Engine, error) {
 	for _, o := range opts {
-		o(cfg)
+		o(&cfg)
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	th := cfg.thesaurus()
 	e := &Engine{
-		cfg:         *cfg,
+		cfg:         cfg,
 		weights:     cfg.axisWeights(),
-		thesaurus:   th,
-		names:       lingo.NewMatcherPool(th),
 		parallelism: cfg.parallelism,
-		metrics:     obs.NewRegistry(),
 		logger:      cfg.logger,
 		collect:     cfg.obsMetrics,
 		tracing:     cfg.obsTracing,
+	}
+	if base == nil {
+		e.thesaurus = cfg.thesaurus()
+		e.names = lingo.NewMatcherPool(e.thesaurus)
+		e.metrics = obs.NewRegistry()
+	} else {
+		if cfg.custom != base.cfg.custom || cfg.noBuiltin != base.cfg.noBuiltin {
+			return nil, errors.New("qmatch: With cannot change the thesaurus (build a new Engine with NewEngine)")
+		}
+		e.thesaurus, e.names, e.metrics = base.thesaurus, base.names, base.metrics
 	}
 	if e.parallelism == 0 {
 		e.parallelism = runtime.GOMAXPROCS(0)

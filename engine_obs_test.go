@@ -247,13 +247,13 @@ func TestDisabledObserverAddsNoAllocs(t *testing.T) {
 	}
 }
 
-// WithLogger emits structured lifecycle events for Match, MatchAll and
-// Rank without enabling metrics or tracing.
+// A logger-only Observer emits structured lifecycle events for Match,
+// MatchAll and Rank without enabling metrics or tracing.
 func TestLoggerLifecycleEvents(t *testing.T) {
 	src, tgt := poPairXSD(t)
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	eng, err := qmatch.NewEngine(qmatch.WithLogger(logger))
+	eng, err := qmatch.NewEngine(qmatch.WithObserver(qmatch.Observer{Logger: logger}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,6 +85,85 @@ func TestNewEngineErrors(t *testing.T) {
 	}
 }
 
+// An Engine derived with With matches exactly like one built by NewEngine
+// from the base options plus the same override, shares the base's metrics
+// registry, and refuses to change the thesaurus it shares.
+func TestEngineWith(t *testing.T) {
+	th := qmatch.NewThesaurus()
+	th.AddSynonym("lines", "items")
+	baseOpts := []qmatch.Option{
+		qmatch.WithThesaurus(th),
+		qmatch.WithObserver(qmatch.Observer{Metrics: true}),
+	}
+	base, err := qmatch.NewEngine(baseOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poSrc, poTgt := poPairXSD(t)
+	synSrc := synth.Generate(synth.Config{Seed: 41, Elements: 60, MaxDepth: 5, MaxChildren: 8})
+	synTgt, _ := synth.Derive(synSrc, synth.Uniform(42, 0.3))
+	pairs := map[string][2]*qmatch.Schema{
+		"PO":        {poSrc, poTgt},
+		"synthetic": {qmatch.FromTree(synSrc), qmatch.FromTree(synTgt)},
+	}
+	overrides := map[string]qmatch.Option{
+		"linguistic":          qmatch.WithAlgorithm(qmatch.Linguistic),
+		"structural":          qmatch.WithAlgorithm(qmatch.Structural),
+		"cupid":               qmatch.WithAlgorithm(qmatch.Cupid),
+		"selection threshold": qmatch.WithSelectionThreshold(0.6),
+		"weights":             qmatch.WithWeights(qmatch.Weights{Label: 0.3, Properties: 0.2, Level: 0.1, Children: 0.4}),
+		"child threshold":     qmatch.WithChildThreshold(0.3),
+		"parallelism":         qmatch.WithParallelism(1),
+	}
+	wire := func(r *qmatch.Report) string {
+		var b strings.Builder
+		if err := r.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for name, opt := range overrides {
+		derived, err := base.With(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		built, err := qmatch.NewEngine(append(baseOpts[:len(baseOpts):len(baseOpts)], opt)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pairName, p := range pairs {
+			if got, want := wire(derived.Match(p[0], p[1])), wire(built.Match(p[0], p[1])); got != want {
+				t.Errorf("%s on %s: derived Engine's report differs from NewEngine's\ngot:\n%s\nwant:\n%s", name, pairName, got, want)
+			}
+		}
+	}
+
+	derived, err := base.With(qmatch.WithSelectionThreshold(0.9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := base.MetricValue(qmatch.MetricMatches)
+	derived.Match(poSrc, poTgt)
+	if after, _ := base.MetricValue(qmatch.MetricMatches); after != before+1 {
+		t.Errorf("a match on the derived Engine moved the base's %s from %d to %d, want +1", qmatch.MetricMatches, before, after)
+	}
+
+	for name, opt := range map[string]qmatch.Option{
+		"WithThesaurus":           qmatch.WithThesaurus(qmatch.NewThesaurus()),
+		"WithoutBuiltinThesaurus": qmatch.WithoutBuiltinThesaurus(),
+	} {
+		if _, err := base.With(opt); err == nil {
+			t.Errorf("With(%s) accepted a thesaurus change", name)
+		}
+	}
+	negative := qmatch.WithWeights(qmatch.Weights{Label: -1, Children: 2})
+	_, withErr := base.With(negative)
+	_, newErr := qmatch.NewEngine(negative)
+	if withErr == nil || newErr == nil || withErr.Error() != newErr.Error() {
+		t.Errorf("negative weights: With error %v, NewEngine error %v; want the same error", withErr, newErr)
+	}
+}
+
 func TestMatchPanicsOnInvalidOptions(t *testing.T) {
 	src, tgt := poPairXSD(t)
 	defer func() {

@@ -152,6 +152,31 @@ func ExampleEngine_Rematch() {
 	// PO -> PurchaseOrder (0.95)
 }
 
+func ExampleEngine_With() {
+	// A service builds one Engine and derives a variant per task. The
+	// variant shares the base's thesaurus, warm name matchers and
+	// metrics registry, so its matches count in the base's metrics.
+	base, _ := qmatch.NewEngine(qmatch.WithObserver(qmatch.Observer{Metrics: true}))
+	strict, _ := base.With(qmatch.WithSelectionThreshold(0.97))
+	src, _ := qmatch.ParseSchemaString(exampleSource)
+	tgt, _ := qmatch.ParseSchemaString(exampleTarget)
+	fmt.Println(len(base.Match(src, tgt).Correspondences), "correspondences at the default threshold")
+	for _, c := range strict.Match(src, tgt).Correspondences {
+		fmt.Println(c)
+	}
+	matches, _ := base.MetricValue(qmatch.MetricMatches)
+	fmt.Println(matches, "matches counted")
+
+	// The thesaurus is shared, so a variant cannot change it.
+	_, err := base.With(qmatch.WithoutBuiltinThesaurus())
+	fmt.Println(err != nil)
+	// Output:
+	// 4 correspondences at the default threshold
+	// PO/OrderNo -> PurchaseOrder/OrderNo (1.00)
+	// 2 matches counted
+	// true
+}
+
 func ExampleInferSchemaString() {
 	s, _ := qmatch.InferSchemaString(`<Order><Id>7</Id><Total>9.99</Total></Order>`)
 	fmt.Println(s.Dump())

@@ -84,15 +84,14 @@ type Shard struct {
 func (s Shard) Cells() int { return s.End - s.Start }
 
 // Spec describes one job to Submit: the compiled grid sides and the
-// engine to run them through (nil selects the manager's default). The
-// schemas are compiled — the parse+intern work happened at submission
-// (or registration) time, so shards go straight to the pair-table fill.
+// engine to run them through. The schemas are compiled — the parse+intern
+// work happened at submission (or registration) time, so shards go
+// straight to the pair-table fill.
 type Spec struct {
 	Sources []*qmatch.CompiledSchema
 	Targets []*qmatch.CompiledSchema
-	// Engine overrides the manager's default Engine for this job
-	// (per-request algorithm/threshold/weight overrides resolve to a
-	// pooled Engine in the serving layer).
+	// Engine matches every cell of the job; Submit rejects a Spec
+	// without one.
 	Engine *qmatch.Engine
 	// SourceIDs/TargetIDs are optional display names, aligned with
 	// Sources/Targets (registry ids, file names); purely informational.

@@ -108,11 +108,11 @@ func TestPartitionCoversGridOnce(t *testing.T) {
 
 func TestJobCompletesAndMatchesSync(t *testing.T) {
 	eng := testEngine(t)
-	m := New(Config{Engine: eng, ShardCost: 1}) // one cell per shard
+	m := New(Config{ShardCost: 1}) // one cell per shard
 	defer m.Close()
 	sources := []*qmatch.CompiledSchema{xsdFor(t, "person", 4), xsdFor(t, "order", 3)}
 	targets := []*qmatch.CompiledSchema{xsdFor(t, "personnel", 4), xsdFor(t, "invoice", 2)}
-	j, err := m.Submit("j1", Spec{Sources: sources, Targets: targets})
+	j, err := m.Submit("j1", Spec{Sources: sources, Targets: targets, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestShardPanicFailsJob(t *testing.T) {
 	var admitted atomic.Int64
 	var panicking atomic.Bool
 	panicking.Store(true)
-	m := New(Config{Engine: eng, ShardCost: 1, Workers: 1,
+	m := New(Config{ShardCost: 1, Workers: 1,
 		Gate: func(ctx context.Context) (func(), error) {
 			admitted.Add(1)
 			if panicking.Load() {
@@ -183,6 +183,7 @@ func TestShardPanicFailsJob(t *testing.T) {
 	spec := Spec{
 		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 2)},
 		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 2), xsdFor(t, "c", 2)},
+		Engine:  eng,
 	}
 	j, err := m.Submit("panic", spec)
 	if err != nil {
@@ -232,11 +233,12 @@ func blockingGate(entered chan struct{}) func(context.Context) (func(), error) {
 func TestCancelMidShard(t *testing.T) {
 	eng := testEngine(t)
 	entered := make(chan struct{}, 8)
-	m := New(Config{Engine: eng, Gate: blockingGate(entered), ShardCost: 1})
+	m := New(Config{Gate: blockingGate(entered), ShardCost: 1})
 	defer m.Close()
 	j, err := m.Submit("cancelme", Spec{
 		Sources: []*qmatch.CompiledSchema{xsdFor(t, "a", 3)},
 		Targets: []*qmatch.CompiledSchema{xsdFor(t, "b", 3), xsdFor(t, "c", 3)},
+		Engine:  eng,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,12 +264,12 @@ func TestCancelMidShard(t *testing.T) {
 
 func TestStoreEvictsCompletedJobsLRU(t *testing.T) {
 	eng := testEngine(t)
-	m := New(Config{Engine: eng, MaxJobs: 2})
+	m := New(Config{MaxJobs: 2})
 	defer m.Close()
 	src := []*qmatch.CompiledSchema{xsdFor(t, "a", 2)}
 	tgt := []*qmatch.CompiledSchema{xsdFor(t, "b", 2)}
 	for i := 0; i < 3; i++ {
-		j, err := m.Submit(fmt.Sprintf("evict-%d", i), Spec{Sources: src, Targets: tgt})
+		j, err := m.Submit(fmt.Sprintf("evict-%d", i), Spec{Sources: src, Targets: tgt, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +295,7 @@ func TestStoreEvictsCompletedJobsLRU(t *testing.T) {
 	if _, err := m.Get("evict-1"); err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit("evict-3", Spec{Sources: src, Targets: tgt})
+	j, err := m.Submit("evict-3", Spec{Sources: src, Targets: tgt, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,16 +310,16 @@ func TestStoreEvictsCompletedJobsLRU(t *testing.T) {
 
 func TestActiveJobsNeverEvicted(t *testing.T) {
 	eng := testEngine(t)
-	m := New(Config{Engine: eng, Gate: blockingGate(make(chan struct{})), MaxJobs: 1})
+	m := New(Config{Gate: blockingGate(make(chan struct{})), MaxJobs: 1})
 	defer m.Close()
 	src := []*qmatch.CompiledSchema{xsdFor(t, "a", 2)}
 	tgt := []*qmatch.CompiledSchema{xsdFor(t, "b", 2)}
 	// Two active (blocked) jobs exceed MaxJobs but must both survive.
-	j1, err := m.Submit("active-1", Spec{Sources: src, Targets: tgt})
+	j1, err := m.Submit("active-1", Spec{Sources: src, Targets: tgt, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := m.Submit("active-2", Spec{Sources: src, Targets: tgt})
+	j2, err := m.Submit("active-2", Spec{Sources: src, Targets: tgt, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,19 +333,22 @@ func TestActiveJobsNeverEvicted(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	eng := testEngine(t)
-	m := New(Config{Engine: eng})
+	m := New(Config{})
 	src := []*qmatch.CompiledSchema{xsdFor(t, "a", 2)}
-	if _, err := m.Submit("empty", Spec{Sources: src}); err == nil {
+	if _, err := m.Submit("empty", Spec{Sources: src, Engine: eng}); err == nil {
 		t.Fatal("empty targets accepted")
 	}
-	if _, err := m.Submit("ok", Spec{Sources: src, Targets: src}); err != nil {
+	if _, err := m.Submit("no-engine", Spec{Sources: src, Targets: src}); err == nil {
+		t.Fatal("spec without an engine accepted")
+	}
+	if _, err := m.Submit("ok", Spec{Sources: src, Targets: src, Engine: eng}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit("ok", Spec{Sources: src, Targets: src}); err == nil {
+	if _, err := m.Submit("ok", Spec{Sources: src, Targets: src, Engine: eng}); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
 	m.Close()
-	if _, err := m.Submit("late", Spec{Sources: src, Targets: src}); !errors.Is(err, ErrClosed) {
+	if _, err := m.Submit("late", Spec{Sources: src, Targets: src, Engine: eng}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }
@@ -351,7 +356,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestConcurrentJobsHammer(t *testing.T) {
 	eng := testEngine(t)
 	reg := obs.NewRegistry()
-	m := New(Config{Engine: eng, ShardCost: 1, Workers: 4, Metrics: reg, MaxJobs: 4})
+	m := New(Config{ShardCost: 1, Workers: 4, Metrics: reg, MaxJobs: 4})
 	defer m.Close()
 	src := []*qmatch.CompiledSchema{xsdFor(t, "a", 3), xsdFor(t, "b", 2)}
 	tgt := []*qmatch.CompiledSchema{xsdFor(t, "c", 3), xsdFor(t, "d", 2)}
@@ -362,7 +367,7 @@ func TestConcurrentJobsHammer(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j, err := m.Submit(fmt.Sprintf("hammer-%d", i), Spec{Sources: src, Targets: tgt})
+			j, err := m.Submit(fmt.Sprintf("hammer-%d", i), Spec{Sources: src, Targets: tgt, Engine: eng})
 			if err != nil {
 				errs <- err
 				return

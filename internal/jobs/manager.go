@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"qmatch"
 	"qmatch/internal/obs"
 )
 
@@ -35,9 +34,6 @@ var ErrClosed = errors.New("jobs: manager closed")
 // Config tunes a Manager. The zero value is usable: every knob falls
 // back to the documented default.
 type Config struct {
-	// Engine matches the shards of jobs without an override Engine.
-	// Required unless every Spec carries its own Engine.
-	Engine *qmatch.Engine
 	// Workers bounds the shard workers (default GOMAXPROCS).
 	Workers int
 	// ShardCost is the pair-table cost budget of one shard, in
@@ -188,8 +184,8 @@ func (m *Manager) Submit(id string, spec Spec) (*Job, error) {
 	if len(spec.Sources) == 0 || len(spec.Targets) == 0 {
 		return nil, fmt.Errorf("jobs: need at least one source and one target schema")
 	}
-	if spec.Engine == nil && m.cfg.Engine == nil {
-		return nil, fmt.Errorf("jobs: no engine configured")
+	if spec.Engine == nil {
+		return nil, fmt.Errorf("jobs: spec has no engine")
 	}
 	shards := Partition(spec.Sources, spec.Targets, m.cfg.ShardCost)
 	cells := len(spec.Sources) * len(spec.Targets)
@@ -375,14 +371,10 @@ func (m *Manager) execute(j *Job, shard Shard) (results []json.RawMessage, err e
 		}
 		defer release()
 	}
-	eng := j.spec.Engine
-	if eng == nil {
-		eng = m.cfg.Engine
-	}
 	nt := len(j.spec.Targets)
 	results = make([]json.RawMessage, 0, shard.Cells())
 	for k := shard.Start; k < shard.End; k++ {
-		rep, err := eng.MatchCompiledContext(j.ctx, j.spec.Sources[k/nt], j.spec.Targets[k%nt])
+		rep, err := j.spec.Engine.MatchCompiledContext(j.ctx, j.spec.Sources[k/nt], j.spec.Targets[k%nt])
 		if err != nil {
 			return nil, err
 		}

@@ -116,7 +116,7 @@ func (s *Server) handlePutSchema(w http.ResponseWriter, r *http.Request) {
 	// A re-PUT refreshes the registry's cached matches incrementally: the
 	// previous version's pair tables seed Engine.Rematch, so only changed
 	// subtrees of the new schema are rescored.
-	refreshed, err := s.registry.PutRematch(id, cs, s.engine)
+	refreshed, err := s.registry.PutRematch(id, cs, s.rematch)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -149,7 +149,7 @@ func (s *Server) handleSchemaMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.limited(w, r, req.TimeoutMs, func(ctx context.Context) {
-		rep, cached, err := s.registry.Match(ctx, s.engine, id, other)
+		rep, cached, err := s.registry.Match(ctx, s.rematch, id, other)
 		if err != nil {
 			if errors.Is(err, registry.ErrNotFound) {
 				writeError(w, http.StatusNotFound, err.Error())

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"qmatch"
@@ -126,5 +127,32 @@ func TestSchemaMatchCacheDropsOnDelete(t *testing.T) {
 	resp, _ := do(t, http.MethodPost, matchURL, nil)
 	if c := resp.Header.Get("X-Qmatchd-Cache"); resp.StatusCode != http.StatusOK || c != "miss" {
 		t.Fatalf("post-delete match: status %d cache %q, want 200 miss", resp.StatusCode, c)
+	}
+}
+
+// The server's Engine parks no pair tables: job shards and every other
+// compiled-path match return theirs to the arena. Only the registry
+// routes' Engine keeps them, for the incremental refresh above.
+func TestDefaultEngineKeepsNoTables(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	compile := func(doc string) *qmatch.CompiledSchema {
+		t.Helper()
+		schema, err := qmatch.ParseSchemaString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := s.engine.Compile(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	src, tgt, evolved := compile(poSourceXSD), compile(poTargetXSD), compile(poTargetEvolvedXSD)
+	_, err := s.engine.Rematch(s.engine.MatchCompiled(src, tgt), tgt, evolved)
+	if err == nil || !strings.Contains(err.Error(), "carries no pair-table state") {
+		t.Fatalf("rematch on the default Engine: err %v, want no pair-table state", err)
+	}
+	if _, err := s.rematch.Rematch(s.rematch.MatchCompiled(src, tgt), tgt, evolved); err != nil {
+		t.Fatalf("rematch on the registry Engine: %v", err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,22 +29,24 @@ import (
 // /metrics exposes both). Request counters and duration histograms carry
 // route (and for counters, status code) labels.
 const (
-	MetricHTTPRequests  = "qmatchd_http_requests_total"
-	MetricHTTPDuration  = "qmatchd_http_request_duration_seconds"
-	MetricHTTPInflight  = "qmatchd_http_inflight_requests"
-	MetricQueueDepth    = "qmatchd_http_queue_depth"
-	MetricShed          = "qmatchd_http_shed_total"
-	MetricEngineBuilds  = "qmatchd_engine_builds_total"
-	MetricEnginesPooled = "qmatchd_engines_pooled"
-	MetricQuarantined   = "qmatchd_registry_quarantined_total"
+	MetricHTTPRequests = "qmatchd_http_requests_total"
+	MetricHTTPDuration = "qmatchd_http_request_duration_seconds"
+	MetricHTTPInflight = "qmatchd_http_inflight_requests"
+	MetricQueueDepth   = "qmatchd_http_queue_depth"
+	MetricShed         = "qmatchd_http_shed_total"
+	MetricQuarantined  = "qmatchd_registry_quarantined_total"
 )
+
+// MetricEngineBuilds counts the Engines New compiles with NewEngine: one
+// for the life of the server, since every per-request override derives
+// from that Engine. It is kept only because benchmark/ scrapes it.
+const MetricEngineBuilds = "qmatchd_engine_builds_total"
 
 // Config tunes a Server. The zero value is usable: every limit falls back
 // to the documented default.
 type Config struct {
-	// Options configure the server's default Engine and seed every
-	// pooled per-request-override Engine (algorithm, weights,
-	// thesaurus, parallelism, ...).
+	// Options configure the server's Engine (algorithm, weights,
+	// thesaurus, parallelism, ...); per-request overrides apply on top.
 	Options []qmatch.Option
 	// Logger receives structured access logs and Engine lifecycle
 	// events. Nil disables logging.
@@ -69,10 +70,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request-supplied timeouts (default 60s).
 	MaxTimeout time.Duration
-	// MaxEngines bounds the pool of per-override Engines (default 8).
-	// Requests whose override key misses a full pool still succeed on
-	// a throwaway Engine; only reuse is lost.
-	MaxEngines int
 	// RegistryDir backs the schema registry with a directory of encoded
 	// artifact blobs, reloaded on startup. Empty selects a memory-only
 	// registry (entries vanish on restart).
@@ -119,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
-	if c.MaxEngines < 1 {
-		c.MaxEngines = 8
-	}
 	if c.MaxSchemas < 1 {
 		c.MaxSchemas = 4096
 	}
@@ -146,36 +140,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the qmatchd HTTP service: a default Engine (which owns the
-// match metrics the /metrics endpoint exposes), a bounded pool of
-// per-override Engines, the concurrency limiter, and the HTTP metrics
-// registry. Construct with New, mount Handler() on an http.Server, call
-// Drain before shutting the http.Server down.
+// Server is the qmatchd HTTP service: one Engine (which owns the match
+// metrics the /metrics endpoint exposes) and the Engines derived from it,
+// the concurrency limiter, and the HTTP metrics registry. Construct with
+// New, mount Handler() on an http.Server, call Drain before shutting the
+// http.Server down.
 type Server struct {
 	cfg    Config
 	logger *slog.Logger
 
-	engine   *qmatch.Engine // default engine; owns qmatch_* metrics
+	engine *qmatch.Engine // default engine; owns qmatch_* metrics
+	// rematch is engine WithRematchState: the registry routes' Engine,
+	// whose cached reports keep their pair tables for Engine.Rematch.
+	rematch  *qmatch.Engine
 	registry *registry.Registry
 	jobs     *jobs.Manager
-
-	mu      sync.Mutex
-	engines map[engineKey]*qmatch.Engine
 
 	reg      *obs.Registry // HTTP metrics
 	limiter  *limiter
 	inflight *obs.Gauge
-	builds   *obs.Counter
-	pooled   *obs.Gauge
 	tracker  *requestTracker // debug plane: in-flight + slow tables
 
 	draining atomic.Bool
 }
 
-// New builds a Server, compiling the default Engine from cfg.Options. The
-// default Engine always collects match metrics and logs through
-// cfg.Logger; tracing engines are pooled on demand when requests ask for
-// traces.
+// New builds a Server, compiling its Engine from cfg.Options. The Engine
+// always collects match metrics and logs through cfg.Logger. It is the
+// server's only NewEngine call: the registry routes' Engine and every
+// per-request override Engine derive from it with Engine.With, sharing its
+// thesaurus, name matchers and metrics registry.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	// Every log line — access logs, Engine match summaries, registry
@@ -188,21 +181,22 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		logger:  cfg.Logger,
-		engines: make(map[engineKey]*qmatch.Engine),
 		reg:     obs.NewRegistry(),
 		tracker: newRequestTracker(cfg.SlowRequests),
 	}
-	// WithRematchState makes the default Engine's compiled-path reports
-	// carry their pair tables, so registry re-PUTs refresh cached matches
-	// incrementally (see handlePutSchema). Only registry matches take the
-	// compiled path; the schema-in-body endpoints are unaffected.
 	eng, err := qmatch.NewEngine(append(cfg.Options[:len(cfg.Options):len(cfg.Options)],
-		qmatch.WithObserver(qmatch.Observer{Logger: cfg.Logger, Metrics: true}),
-		qmatch.WithRematchState())...)
+		qmatch.WithObserver(qmatch.Observer{Logger: cfg.Logger, Metrics: true}))...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: default engine: %w", err)
 	}
 	s.engine = eng
+	s.reg.Counter(MetricEngineBuilds).Inc()
+	// The registry's cached pair matches keep their tables, so a re-PUT
+	// refreshes them incrementally (see handlePutSchema). Every other
+	// route, job shards included, returns its tables to the arena.
+	if s.rematch, err = eng.With(qmatch.WithRematchState()); err != nil {
+		return nil, fmt.Errorf("serve: rematch engine: %w", err)
+	}
 	s.registry, err = registry.Open(cfg.RegistryDir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -217,20 +211,16 @@ func New(cfg Config) (*Server, error) {
 			slog.String("dir", cfg.RegistryDir), slog.Int("schemas", s.registry.Len()))
 	}
 	s.inflight = s.reg.Gauge(MetricHTTPInflight)
-	s.builds = s.reg.Counter(MetricEngineBuilds)
-	s.pooled = s.reg.Gauge(MetricEnginesPooled)
 	s.limiter = newLimiter(cfg.MaxConcurrent, cfg.MaxQueue,
 		s.reg.Gauge(MetricQueueDepth), s.reg.Counter(MetricShed))
 	// Process vitals for the debug plane ride in the HTTP registry, so one
 	// /metrics scrape carries match, HTTP and runtime series.
 	obs.RegisterRuntimeGauges(s.reg, "qmatchd")
-	s.builds.Inc()
 	// The async job coordinator shares the admission limiter: every shard
 	// waits for a match slot (without the shed bound — no client
 	// connection is held open), so background jobs and interactive
 	// requests draw from one concurrency budget.
 	s.jobs = jobs.New(jobs.Config{
-		Engine:    s.engine,
 		Workers:   cfg.JobWorkers,
 		ShardCost: cfg.JobShardCost,
 		MaxJobs:   cfg.MaxJobs,
@@ -471,6 +461,41 @@ func (s *Server) limited(w http.ResponseWriter, r *http.Request, timeoutMs int64
 	fn(ctx)
 }
 
+// engineFor resolves the Engine serving one request's overrides: the
+// server's Engine when there are none, otherwise one derived from it with
+// Engine.With. A trace override adds tracing to the Engine's metrics and
+// logging. Invalid overrides (unknown algorithm, out-of-range threshold,
+// bad weights) surface as the derivation error, which handlers map to 400.
+func (s *Server) engineFor(o matchOptions) (*qmatch.Engine, error) {
+	var opts []qmatch.Option
+	if o.Algorithm != "" {
+		alg, err := qmatch.ParseAlgorithm(o.Algorithm)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, qmatch.WithAlgorithm(alg))
+	}
+	if o.Threshold != nil {
+		opts = append(opts, qmatch.WithSelectionThreshold(*o.Threshold))
+	}
+	if w := o.Weights; w != nil {
+		opts = append(opts, qmatch.WithWeights(qmatch.Weights{
+			Label: w.Label, Properties: w.Properties, Level: w.Level, Children: w.Children,
+		}))
+	}
+	if o.Trace {
+		opts = append(opts, qmatch.WithObserver(qmatch.Observer{Logger: s.logger, Metrics: true, Tracing: true}))
+	}
+	if len(opts) == 0 {
+		return s.engine, nil
+	}
+	eng, err := s.engine.With(opts...)
+	if err != nil {
+		return nil, fmt.Errorf("invalid match options: %w", err)
+	}
+	return eng, nil
+}
+
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var req MatchRequest
 	if !decode(w, r, &req) {
@@ -502,13 +527,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if wantEvents {
-			if mt := activeRequest(ctx).lastEngineTrace(); mt != nil {
-				w.Header().Set("Content-Type", "application/json")
-				_ = mt.WriteTraceEvents(w)
-				return
-			}
-			writeError(w, http.StatusUnprocessableEntity,
-				"no trace recorded: the engine has observability disabled")
+			// Every Engine the server runs collects metrics, so every
+			// match has recorded the trace exported here.
+			w.Header().Set("Content-Type", "application/json")
+			_ = activeRequest(ctx).lastEngineTrace().WriteTraceEvents(w)
 			return
 		}
 		// Serve the report through the library serializer so the body
@@ -623,10 +645,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleMetrics writes the default Engine's registry (match counters,
-// durations, per-phase time) followed by the server's HTTP registry,
-// both in the Prometheus text format. Pooled per-override Engines keep
-// their own registries and are not scraped here.
+// handleMetrics writes the Engine registry (match counters, durations,
+// per-phase time) followed by the server's HTTP registry, both in the
+// Prometheus text format. Every Engine the server derives shares the
+// Engine registry, so override, registry and job matches all count here.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.engine.WriteMetrics(w); err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -105,12 +106,14 @@ func TestMatchByteIdenticalToLibrary(t *testing.T) {
 	}
 }
 
-// Per-request overrides select pooled engines; a traced request attaches
-// the pipeline spans; an override-free request reuses the default engine.
+// Per-request overrides derive Engines from the server's Engine: a traced
+// request attaches the pipeline spans, an algorithm override switches the
+// matcher, and no override compiles an Engine of its own — every override
+// match counts in /metrics, and ?trace=1 exports its trace.
 func TestMatchTraceAndOverrides(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	// Trace on the default (hybrid) pipeline — the only one emitting
-	// phase spans; the trace bit alone selects a pooled engine.
+	// phase spans; the trace bit alone derives a tracing Engine.
 	req := matchBody(poSourceXSD, poTargetXSD)
 	req.Trace = true
 	resp, body := post(t, ts.URL+"/v1/match", req)
@@ -125,7 +128,6 @@ func TestMatchTraceAndOverrides(t *testing.T) {
 		t.Errorf("trace requested but absent: %+v", report.Trace)
 	}
 
-	// An algorithm override selects another pooled engine.
 	lreq := matchBody(poSourceXSD, poTargetXSD)
 	lreq.Algorithm = "linguistic"
 	resp, body = post(t, ts.URL+"/v1/match", lreq)
@@ -139,15 +141,59 @@ func TestMatchTraceAndOverrides(t *testing.T) {
 	if lingReport.Algorithm != "linguistic" {
 		t.Errorf("algorithm override ignored: %q", lingReport.Algorithm)
 	}
-	if v, _ := s.reg.Value(MetricEngineBuilds); v < 2 {
-		t.Errorf("expected a pooled engine build, builds=%d", v)
+
+	before := scrapeMetric(t, ts.URL, qmatch.MetricMatches)
+	for i := 0; i < 10; i++ {
+		treq := matchBody(poSourceXSD, poTargetXSD)
+		threshold := 0.5 + float64(i)/20
+		treq.Threshold = &threshold
+		if resp, body := post(t, ts.URL+"/v1/match", treq); resp.StatusCode != http.StatusOK {
+			t.Fatalf("threshold %v: status %d: %s", threshold, resp.StatusCode, body)
+		}
 	}
-	// Same overrides again: the pooled engine is reused, not rebuilt.
-	before, _ := s.reg.Value(MetricEngineBuilds)
-	post(t, ts.URL+"/v1/match", req)
-	if after, _ := s.reg.Value(MetricEngineBuilds); after != before {
-		t.Errorf("engine rebuilt for identical overrides: %d -> %d", before, after)
+	if got := scrapeMetric(t, ts.URL, MetricEngineBuilds); got != 1 {
+		t.Errorf("%s = %d after override requests, want 1", MetricEngineBuilds, got)
 	}
+	if got := scrapeMetric(t, ts.URL, qmatch.MetricMatches) - before; got != 10 {
+		t.Errorf("ten override matches raised %s by %d, want 10", qmatch.MetricMatches, got)
+	}
+
+	threshold := 0.8
+	treq := matchBody(poSourceXSD, poTargetXSD)
+	treq.Threshold = &threshold
+	resp, body = post(t, ts.URL+"/v1/match?trace=1", treq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("override with ?trace=1: status %d: %s", resp.StatusCode, body)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(body, &events); err != nil || len(events) == 0 {
+		t.Fatalf("override with ?trace=1 is not a trace-event array: %v\n%s", err, body)
+	}
+}
+
+// scrapeMetric reads one unlabeled sample from GET /metrics.
+func scrapeMetric(t *testing.T, base, name string) int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s sample:\n%s", name, body)
+	return 0
 }
 
 // A deadline that expires mid-match returns 504 and, when the request
@@ -480,7 +526,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // The -race concurrent-clients hammer: many goroutines mixing every
 // endpoint against one server. Run with `go test -race ./internal/serve`
-// (CI does) to verify the shared Engine, pool and limiter under load.
+// (CI does) to verify the shared Engine, the Engines traced requests
+// derive from it, and the limiter under load.
 func TestConcurrentClientsHammer(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 4, MaxQueue: 64})
 	const clients = 8

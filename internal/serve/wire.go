@@ -92,8 +92,8 @@ type WeightsInput struct {
 }
 
 // matchOptions are the per-request matcher overrides shared by every
-// matching endpoint; they select the pooled Engine that serves the
-// request.
+// matching endpoint; Server.engineFor derives the Engine that serves the
+// request from them.
 type matchOptions struct {
 	// Algorithm overrides the server's default matcher.
 	Algorithm string `json:"algorithm,omitempty"`

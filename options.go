@@ -220,12 +220,6 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// WithLogger is shorthand for WithObserver(Observer{Logger: l}): structured
-// match-lifecycle logging only, metrics and tracing stay off.
-func WithLogger(l *slog.Logger) Option {
-	return func(c *config) { c.logger = l }
-}
-
 // WithThesaurus merges custom linguistic relations on top of the built-in
 // domain thesaurus.
 func WithThesaurus(t *Thesaurus) Option {
