@@ -327,7 +327,7 @@ func TestCompiledSchemaAccessors(t *testing.T) {
 
 // Compiled-path counterpart of core's TestTreeAllocsBounded: a warm
 // MatchCompiled on the DCMD pair must stay within the arena-era ceiling.
-// It runs at ~95 allocations — the compiled schemas carry pre-interned
+// It runs at ~71 allocations — the compiled schemas carry pre-interned
 // vocabularies, so selection and report assembly are most of what's left.
 // The 600 ceiling trips on any return of per-cell allocation or loss of
 // the pooled arena buffers.

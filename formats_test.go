@@ -2,10 +2,12 @@ package qmatch_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"qmatch"
 )
@@ -288,5 +290,49 @@ func TestLoadSchemaSniffed(t *testing.T) {
 	}
 	if _, err := qmatch.LoadSchema(junk); !errors.Is(err, qmatch.ErrUnknownFormat) {
 		t.Fatalf("junk load error = %v, want ErrUnknownFormat", err)
+	}
+}
+
+// Every parser builds its tree through xmltree.Node.Add, so tree building
+// must stay linear in the node count: a 100,000-column DDL table and a
+// 100,000-leaf XSD element each parse in well under 2 s. Quadratic building
+// took 13 s for 32,000 columns. The race detector slows parsing several
+// times over, so CI runs this test in a step without it.
+func TestLargeInputsParseLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing bound; runs without -race")
+	}
+	const n = 100_000
+	var ddl, xsd strings.Builder
+	ddl.WriteString("CREATE TABLE wide (\n")
+	xsd.WriteString(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="wide"><xs:complexType><xs:sequence>`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			ddl.WriteString(",\n")
+		}
+		fmt.Fprintf(&ddl, "  c%d INTEGER", i)
+		fmt.Fprintf(&xsd, `<xs:element name="c%d" type="xs:int"/>`, i)
+	}
+	ddl.WriteString("\n);\n")
+	xsd.WriteString(`</xs:sequence></xs:complexType></xs:element></xs:schema>`)
+	for _, c := range []struct {
+		name  string
+		parse func() (*qmatch.Schema, error)
+	}{
+		{"ddl", func() (*qmatch.Schema, error) { return qmatch.ParseDDLString(ddl.String(), "wide") }},
+		{"xsd", func() (*qmatch.Schema, error) { return qmatch.ParseSchemaString(xsd.String()) }},
+	} {
+		start := time.Now()
+		s, err := c.parse()
+		took := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := s.Tree().Size(); got < n {
+			t.Fatalf("%s: %d nodes, want at least %d", c.name, got, n)
+		}
+		if took > 2*time.Second {
+			t.Errorf("%s: %d-leaf input parsed in %v, want under 2s", c.name, n, took)
+		}
 	}
 }

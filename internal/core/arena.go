@@ -32,11 +32,14 @@ type matchBuffers struct {
 
 	srcIdx, tgtIdx map[*xmltree.Node]int
 
-	// Kernel score/kind planes (see simKernel).
-	lScore []float64
-	lKind  []uint8
-	pScore []float64
-	pKind  []uint8
+	// Kernel score/kind planes (see simKernel), and the kernel fill's
+	// scratch: one trigram-overlap row per worker and the type table.
+	lScore  []float64
+	lKind   []uint8
+	pScore  []float64
+	pKind   []uint8
+	overlap []int32
+	types   typeTable
 }
 
 var bufPool = sync.Pool{New: func() any { return new(matchBuffers) }}

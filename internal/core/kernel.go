@@ -159,49 +159,121 @@ func (k *simKernel) propAt(i, j int) (float64, lingo.Kind) {
 	return k.propScore[idx], lingo.Kind(k.propKind[idx])
 }
 
-// fillLabelRow scores row i of the label matrix through a batch scorer.
-func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, i int) {
-	for j := range k.tgt.Labels {
-		idx := k.lb.idx(int32(i), int32(j))
-		s, kind := ks.Score(int32(i), int32(j))
-		k.labelScore[idx], k.labelKind[idx] = s, uint8(kind)
+// fillLabelRow scores row i of the label matrix through the batch scorer,
+// with common as the row's trigram-overlap scratch. The scorer reports
+// only the pairs that match, so the row is first zeroed to (0, None), one
+// tile's run of columns at a time.
+func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, i int, common []int32) {
+	nt := len(k.tgt.Labels)
+	for j := 0; j < nt; j += tileCMask + 1 {
+		lo := k.lb.idx(int32(i), int32(j))
+		hi := lo + min(tileCMask+1, nt-j)
+		clear(k.labelScore[lo:hi])
+		clear(k.labelKind[lo:hi])
 	}
+	ks.ScoreRow(int32(i), common, func(j int32, s float64, kind lingo.Kind) {
+		idx := k.lb.idx(int32(i), j)
+		k.labelScore[idx], k.labelKind[idx] = s, uint8(kind)
+	})
 }
 
-// fillPropRow scores row i of the property matrix.
-func (k *simKernel) fillPropRow(i int) {
-	sp := k.src.Props[i]
-	for j, tp := range k.tgt.Props {
+// fillPropRow scores row i of the property matrix, taking each pair's type
+// score from the type table.
+func (k *simKernel) fillPropRow(tt *typeTable, i int) {
+	sp := &k.src.Props[i]
+	types := tt.score[int(tt.src[i])*tt.nt:]
+	for j := range k.tgt.Props {
 		idx := k.pb.idx(int32(i), int32(j))
-		p := MatchProperties(sp, tp)
+		p := matchNormed(sp, &k.tgt.Props[j], types[tt.tgt[j]])
 		k.propScore[idx], k.propKind[idx] = p.Score, uint8(p.Kind)
 	}
 }
 
+// typeTable holds typeScore for every pair of distinct types of the two
+// property vocabularies. typeScore depends on the two type strings alone,
+// and a vocabulary's property sets share a handful of types, so the
+// property plane looks the score up instead of walking the datatype
+// hierarchy per pair.
+type typeTable struct {
+	src, tgt []int32   // property-set id → type id, per side
+	nt       int       // distinct target types
+	score    []float64 // [srcType*nt + tgtType]
+
+	ids   map[string]int32 // build scratch: type → id on one side
+	names []string         // build scratch: source types, then target types
+}
+
+// build assigns type ids to both sides' property sets and scores every
+// pair of distinct types.
+func (tt *typeTable) build(src, tgt []xmltree.Properties) {
+	if tt.ids == nil {
+		tt.ids = make(map[string]int32)
+	}
+	tt.names = tt.names[:0]
+	tt.src = tt.assign(tt.src, src)
+	ns := len(tt.names)
+	tt.tgt = tt.assign(tt.tgt, tgt)
+	srcNames, tgtNames := tt.names[:ns], tt.names[ns:]
+	tt.nt = len(tgtNames)
+	tt.score = grow(tt.score, ns*tt.nt)
+	for i, a := range srcNames {
+		for j, b := range tgtNames {
+			tt.score[i*tt.nt+j] = typeScore(a, b)
+		}
+	}
+	// Drop the type strings, so a pooled buffer pins no schema.
+	clear(tt.ids)
+	clear(tt.names)
+}
+
+// assign returns, in ids, the type id of each property set of one side,
+// appending the side's distinct types to names.
+func (tt *typeTable) assign(ids []int32, props []xmltree.Properties) []int32 {
+	clear(tt.ids)
+	base := len(tt.names)
+	ids = grow(ids, len(props))
+	for i := range props {
+		t := props[i].Type
+		id, ok := tt.ids[t]
+		if !ok {
+			id = int32(len(tt.names) - base)
+			tt.names = append(tt.names, t)
+			tt.ids[t] = id
+		}
+		ids[i] = id
+	}
+	return ids
+}
+
 // fill computes both matrices, fanning their rows across par workers
-// (inline on the calling goroutine at one). The batch scorer is built once
-// on the calling goroutine (construction mutates the matcher's memos) and
-// then shared read-only — Score is concurrency-safe — so workers need no
-// matcher clones. Rows are independent and every entry is a pure function
-// of its two vocabulary entries, so every worker count fills the same
-// matrices. Nothing carries label scores from one match to the next: a
-// shared memo's lookup costs more than the fresh score it would save
-// (DESIGN.md §5.9). Once m.Done fires, the scorer's token matrix and the
-// workers stop between rows; fill reports whether every row was scored.
-func (k *simKernel) fill(m *Matcher, par int) bool {
+// (inline on the calling goroutine at one). The batch scorer and the type
+// table are built once on the calling goroutine (construction mutates the
+// matcher's memos) and then shared read-only, so workers need no matcher
+// clones; each worker takes its own overlap row from b. Rows are
+// independent and every entry is a pure function of its two vocabulary
+// entries, so every worker count fills the same matrices. Nothing carries
+// label scores from one match to the next: a shared memo's lookup costs
+// more than the fresh score it would save (DESIGN.md §5.9). Once m.Done
+// fires, the scorer's token matrix and the workers stop between rows; fill
+// reports whether every row was scored.
+func (k *simKernel) fill(m *Matcher, b *matchBuffers, par int) bool {
 	ks := m.Names.NewKernelScorer(k.src.Labels, k.tgt.Labels, m.Done)
 	if ks == nil {
 		return false
 	}
-	nl := len(k.src.Labels)
-	fanOut(par, nl+len(k.src.Props), func(i int) bool {
+	defer ks.Release()
+	b.types.build(k.src.Props, k.tgt.Props)
+	nl, nt := len(k.src.Labels), len(k.tgt.Labels)
+	rows := nl + len(k.src.Props)
+	b.overlap = grow(b.overlap, max(1, min(par, rows))*nt)
+	fanOut(par, rows, func(w, i int) bool {
 		if m.aborted() {
 			return false
 		}
 		if i < nl {
-			k.fillLabelRow(ks, i)
+			k.fillLabelRow(ks, i, b.overlap[w*nt:(w+1)*nt])
 		} else {
-			k.fillPropRow(i - nl)
+			k.fillPropRow(&b.types, i-nl)
 		}
 		return true
 	})

@@ -93,7 +93,7 @@ func TestTopPairsMatchesSort(t *testing.T) {
 }
 
 // Allocation regression gate for the hybrid hot loop. With the pooled
-// arena buffers (matchBuffers) a released warm DCMD fill runs at ~75
+// arena buffers (matchBuffers) a released warm DCMD fill runs at ~50
 // allocations — what remains is the interner, kernel bookkeeping and the
 // Result header, not per-cell garbage. The 700 ceiling trips on any return
 // of per-cell allocation or a fill that stops drawing from the pool,

@@ -235,7 +235,7 @@ func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
 		si, ti = m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes)
 		if cells >= int64(len(si.Labels))*int64(len(ti.Labels)) {
 			k := newKernelFrom(si, ti, r.buf)
-			if k.fill(m, par) {
+			if k.fill(m, r.buf, par) {
 				r.kern = k
 			} else {
 				partial = true
@@ -319,16 +319,17 @@ func (m *Matcher) parallelism() int {
 	}
 }
 
-// fanOut calls do(i) for every i in [0, n) across up to par goroutines,
-// each claiming the next unclaimed index, and returns once all have
-// finished. A worker stops claiming when do reports false. At one worker
-// it runs inline on the calling goroutine.
-func fanOut(par, n int, do func(i int) bool) {
+// fanOut calls do(w, i) for every i in [0, n) across up to par
+// goroutines, each claiming the next unclaimed index, and returns once all
+// have finished. w is the calling worker's number, below min(par, n), so
+// do can index per-worker scratch by it. A worker stops claiming when do
+// reports false. At one worker it runs inline on the calling goroutine.
+func fanOut(par, n int, do func(w, i int) bool) {
 	if par > n {
 		par = n
 	}
 	if par <= 1 {
-		for i := 0; i < n && do(i); i++ {
+		for i := 0; i < n && do(0, i); i++ {
 		}
 		return
 	}
@@ -338,7 +339,7 @@ func fanOut(par, n int, do func(i int) bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n && do(i); i = int(next.Add(1) - 1) {
+			for i := int(next.Add(1) - 1); i < n && do(w, i); i = int(next.Add(1) - 1) {
 			}
 		}()
 	}
@@ -412,7 +413,7 @@ func (tw *treeWorker) sweepLevels(par int, sp *obs.ActiveSpan) bool {
 		lsp.SetNodes(len(level), len(r.tgtNodes))
 		lsp.SetCells(int64(len(level)) * int64(len(r.tgtNodes)))
 		lsp.SetWorkers(min(par, len(level)))
-		fanOut(par, len(level), func(k int) bool {
+		fanOut(par, len(level), func(_, k int) bool {
 			if m.aborted() {
 				return false
 			}

@@ -37,6 +37,27 @@ const (
 // iff all properties are exact, None iff the score is 0, Relaxed otherwise.
 func MatchProperties(a, b xmltree.Properties) PropertyQoM {
 	a, b = a.Norm(), b.Norm()
+	return matchNormed(&a, &b, typeScore(a.Type, b.Type))
+}
+
+// typeScore is the type property's score: exact when the types are equal
+// (after prefix canonicalization), relaxed when they are compatible.
+func typeScore(a, b string) float64 {
+	switch {
+	case xmltree.TypeEqual(a, b):
+		return propExact
+	case xmltree.TypeCompatible(a, b):
+		return propRelaxed
+	default:
+		return propNone
+	}
+}
+
+// matchNormed is MatchProperties over two Norm-canonicalized sets, given
+// the typeScore of their types. The kernel's property plane calls it with
+// the score of a type table that ran typeScore once per pair of distinct
+// types.
+func matchNormed(a, b *xmltree.Properties, typ float64) PropertyQoM {
 	// At most 8 properties participate; a fixed array keeps this
 	// hot-path function allocation-free.
 	var scores [8]float64
@@ -50,15 +71,7 @@ func MatchProperties(a, b xmltree.Properties) PropertyQoM {
 		}
 	}
 
-	// Type.
-	switch {
-	case xmltree.TypeEqual(a.Type, b.Type):
-		add(propExact)
-	case xmltree.TypeCompatible(a.Type, b.Type):
-		add(propRelaxed)
-	default:
-		add(propNone)
-	}
+	add(typ)
 
 	// Order.
 	if a.Order == b.Order {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"qmatch/internal/dataset"
 	"qmatch/internal/lingo"
+	"qmatch/internal/synth"
 	"qmatch/internal/xmltree"
 )
 
@@ -138,5 +141,57 @@ func TestMatchPropertiesSymmetric(t *testing.T) {
 	q1, q2 := MatchProperties(a, b), MatchProperties(b, a)
 	if q1.Score != q2.Score || q1.Kind != q2.Kind {
 		t.Fatalf("asymmetric: %+v vs %+v", q1, q2)
+	}
+}
+
+// The kernel's property plane scores through the type table: every pair
+// of the distinct property sets of the corpus schemas and of a synthetic
+// pair must score bit-equal to MatchProperties. The sets are interned as
+// one vocabulary on both sides and run through the kernel fill, so the
+// check covers the type ids, the table and the tile layout.
+func TestTypeTableMatchesMatchProperties(t *testing.T) {
+	base := synth.Generate(synth.Config{Seed: 5, Elements: 400})
+	variant, _ := synth.Derive(base, synth.Uniform(6, 0.3))
+	roots := []*xmltree.Node{base, variant}
+	for _, p := range dataset.Pairs() {
+		roots = append(roots, p.Source, p.Target)
+	}
+	// Unset occurrences and namespace prefixes, which Norm and the type
+	// canonicalization fold.
+	seen := map[xmltree.Properties]bool{}
+	var nodes []*xmltree.Node
+	for _, p := range []xmltree.Properties{
+		{Type: "xs:int"}, {Type: "int", MinOccurs: 1, MaxOccurs: 1},
+		{Type: "xsd:decimal", MinOccurs: 0, MaxOccurs: 3},
+		{Type: "anyType", MaxOccurs: xmltree.Unbounded},
+		{Type: "CustomType", IsAttribute: true, Use: "optional", Fixed: "x"},
+		{Nillable: true, Default: "0"},
+	} {
+		seen[p] = true
+		nodes = append(nodes, xmltree.New("", p))
+	}
+	for _, r := range roots {
+		r.Walk(func(n *xmltree.Node) bool {
+			if !seen[n.Props] {
+				seen[n.Props] = true
+				nodes = append(nodes, xmltree.New("", n.Props))
+			}
+			return true
+		})
+	}
+	in := Intern(nodes)
+	b := new(matchBuffers)
+	k := newKernelFrom(in, in, b)
+	if !k.fill(NewMatcher(nil), b, 1) {
+		t.Fatal("fill stopped without a Done signal")
+	}
+	for i, a := range nodes {
+		for j, b := range nodes {
+			want := MatchProperties(a.Props, b.Props)
+			s, kind := k.propAt(i, j)
+			if math.Float64bits(s) != math.Float64bits(want.Score) || kind != want.Kind {
+				t.Fatalf("(%+v, %+v): kernel (%v, %v), MatchProperties (%v, %v)", a.Props, b.Props, s, kind, want.Score, want.Kind)
+			}
+		}
 	}
 }

@@ -23,7 +23,14 @@ import "strings"
 // forms the structural rules cannot derive. Both inputs are lowercased
 // before testing.
 func IsAbbreviationOf(short, long string) bool {
-	s, l := strings.ToLower(short), strings.ToLower(long)
+	return isAbbreviationLower(strings.ToLower(short), strings.ToLower(long))
+}
+
+// isAbbreviationLower is IsAbbreviationOf over inputs that are already
+// lowercase. The matcher's normal forms and tokens are: Tokenize lowercases
+// them rune by rune with unicode.ToLower, which is idempotent, so
+// strings.ToLower would return them unchanged.
+func isAbbreviationLower(s, l string) bool {
 	if irregular[s] == l {
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // structuralMatch is Match on an empty thesaurus, so that the structural
@@ -137,12 +138,24 @@ func TestHasSkeletonPrefix(t *testing.T) {
 	}
 }
 
-// The kernel reaches IsAbbreviationOf on every token pair whose first
+// The matcher runs the abbreviation test on every token pair whose first
 // letters agree, so a lowercase ASCII pair must not allocate.
 func TestIsAbbreviationOfAllocs(t *testing.T) {
 	for _, c := range [][2]string{{"qty", "quantity"}, {"qnty", "quantity"}} {
 		if a := testing.AllocsPerRun(100, func() { IsAbbreviationOf(c[0], c[1]) }); a != 0 {
 			t.Errorf("IsAbbreviationOf(%q, %q) = %.0f allocs/run, want 0", c[0], c[1], a)
+		}
+	}
+}
+
+// The matcher's callers skip IsAbbreviationOf's lowercasing because
+// Tokenize's output, lowercased rune by rune, is a fixed point of
+// strings.ToLower. That holds for every label only if unicode.ToLower is
+// idempotent on every rune.
+func TestToLowerIdempotent(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if l := unicode.ToLower(r); unicode.ToLower(l) != l {
+			t.Errorf("unicode.ToLower(%U) = %U, whose lowercase is %U", r, l, unicode.ToLower(l))
 		}
 	}
 }

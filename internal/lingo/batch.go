@@ -1,145 +1,286 @@
 package lingo
 
+import "sync"
+
 // KernelScorer batch-scores every label pair of two vocabularies — the
 // linguistic engine behind internal/core's similarity kernel. Where
 // NameMatcher.Match memoizes token-pair scores in a map (paying a hashed
 // lookup per token pair per label pair), the scorer observes that a kernel
-// fill compares *every* source label against *every* target label, so
-// every (source token, target token) combination is needed: it resolves
-// the feature vectors of both vocabularies once and precomputes the dense
-// token-similarity matrix up front. Score is then pure array arithmetic.
+// fill compares *every* source label against *every* target label, so it
+// resolves the feature vectors of both vocabularies once and precomputes
+// three things up front:
+//
+//   - the dense token-similarity matrix, so token aggregation is pure array
+//     arithmetic;
+//   - per-label coverage bitsets: for each label, the other side's tokens
+//     with a nonzero similarity to one of its tokens. They bound token
+//     aggregation from above, so the scorer aggregates only the pairs that
+//     can reach MatchThreshold;
+//   - an inverted index from trigram hash to the target labels holding it,
+//     so one scan per source label yields its exact trigram overlap with
+//     every target label, where a per-pair Dice merge would walk both gram
+//     lists.
+//
+// Almost every label pair of a schema pair scores (0, None); the bounds
+// and the index make proving that cheap. ScoreRow runs the decision chain
+// of NameMatcher.MatchFeatures over one source label and produces
+// bit-identical results.
 //
 // Construction mutates the owning NameMatcher's memo caches and must
 // happen on one goroutine; a constructed scorer is read-only, so any
-// number of goroutines may call Score concurrently (unlike the matcher
-// itself).
+// number of goroutines may call ScoreRow concurrently (unlike the matcher
+// itself), each with its own scratch.
 type KernelScorer struct {
 	m          *NameMatcher
 	srcF, tgtF []*LabelFeatures
 	// srcToks/tgtToks map label id → the label's token list as matrix-
-	// local ids (rows index source tokens, columns target tokens).
+	// local ids (rows index source tokens, columns target tokens), sliced
+	// from tokBacking.
 	srcToks, tgtToks [][]int32
+	tokBacking       []int32
 	ntTok            int
 	// sims/exact form the dense token-score matrix
 	// [srcLocal*ntTok + tgtLocal], values identical to tokenSim's.
 	sims  []float64
 	exact []bool
+
+	// srcCov holds one bitset of srcWords words per source label over the
+	// target tokens that score above zero against one of its tokens;
+	// tgtCov one of tgtWords words per target label over the source
+	// tokens. tokCov is their per-token build scratch.
+	srcCov, tgtCov     []uint64
+	srcWords, tgtWords int
+	tokCov             []uint64
+
+	grams gramIndex
+
+	// loc maps the matcher's global token ids to matrix-local ones (-1
+	// when absent); every entry is -1 between builds. srcGlob/tgtGlob map
+	// local ids back to global ones.
+	loc              []int32
+	srcGlob, tgtGlob []int32
 }
 
+var scorerPool = sync.Pool{New: func() any { return new(KernelScorer) }}
+
 // NewKernelScorer builds a scorer over the two label vocabularies. Cost is
-// O(Σ|label|) feature building plus O(|srcTokens|·|tgtTokens|) token-pair
-// scoring — the same unique-pair work the token memo would do across the
-// fill, minus every map probe. done is checked between rows of the token
+// O(Σ|label|) feature building and indexing plus O(|srcTokens|·|tgtTokens|)
+// token-pair scoring — the same unique-pair work the token memo would do
+// across the fill, minus every map probe. The scorer's buffers come from
+// a pool; Release returns them. done is checked between rows of the token
 // matrix: once it is closed, NewKernelScorer stops and returns nil. A nil
 // done never stops it.
 func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan struct{}) *KernelScorer {
-	ks := &KernelScorer{m: m}
-	ks.srcF = make([]*LabelFeatures, len(srcLabels))
-	for i, l := range srcLabels {
-		ks.srcF[i] = m.Features(l)
-	}
-	ks.tgtF = make([]*LabelFeatures, len(tgtLabels))
-	for i, l := range tgtLabels {
-		ks.tgtF[i] = m.Features(l)
-	}
+	ks := scorerPool.Get().(*KernelScorer)
+	ks.m = m
+	ks.srcF = featuresInto(ks.srcF, m, srcLabels)
+	ks.tgtF = featuresInto(ks.tgtF, m, tgtLabels)
 
-	// Collect the distinct global token ids of each side and assign dense
-	// matrix-local ids in first-appearance order.
-	nGlobal := len(m.tokNames)
-	srcLoc := make([]int32, nGlobal)
-	tgtLoc := make([]int32, nGlobal)
-	for i := range srcLoc {
-		srcLoc[i], tgtLoc[i] = -1, -1
+	// Assign dense matrix-local token ids per side in first-appearance
+	// order, slicing each label's local token list from one backing array.
+	total := 0
+	for _, f := range ks.srcF {
+		total += len(f.ids)
 	}
-	var srcGlob, tgtGlob []int32 // local id → global id
-	localize := func(feats []*LabelFeatures, loc []int32, glob *[]int32) [][]int32 {
-		out := make([][]int32, len(feats))
-		total := 0
-		for _, f := range feats {
-			total += len(f.ids)
-		}
-		backing := make([]int32, 0, total)
-		for i, f := range feats {
-			start := len(backing)
-			for _, gid := range f.ids {
-				if loc[gid] < 0 {
-					loc[gid] = int32(len(*glob))
-					*glob = append(*glob, gid)
-				}
-				backing = append(backing, loc[gid])
-			}
-			out[i] = backing[start:]
-		}
-		return out
+	for _, f := range ks.tgtF {
+		total += len(f.ids)
 	}
-	ks.srcToks = localize(ks.srcF, srcLoc, &srcGlob)
-	ks.tgtToks = localize(ks.tgtF, tgtLoc, &tgtGlob)
-	ks.ntTok = len(tgtGlob)
+	ks.tokBacking = resize(ks.tokBacking, total)[:0]
+	for len(ks.loc) < len(m.tokNames) {
+		ks.loc = append(ks.loc, -1)
+	}
+	ks.srcToks, ks.srcGlob = ks.localize(ks.srcToks, ks.srcGlob[:0], ks.srcF)
+	ks.tgtToks, ks.tgtGlob = ks.localize(ks.tgtToks, ks.tgtGlob[:0], ks.tgtF)
+	ns, nt := len(ks.srcGlob), len(ks.tgtGlob)
+	ks.ntTok = nt
 
-	ks.sims = make([]float64, len(srcGlob)*len(tgtGlob))
-	ks.exact = make([]bool, len(ks.sims))
-	for i, ga := range srcGlob {
+	// The token matrix, recording which token pairs score above zero: row
+	// bitsets over the target tokens for each source token, then column
+	// bitsets over the source tokens for each target token.
+	ks.srcWords, ks.tgtWords = (nt+63)/64, (ns+63)/64
+	rowCov, colCov := ns*ks.srcWords, nt*ks.tgtWords
+	ks.tokCov = resize(ks.tokCov, rowCov+colCov)
+	clear(ks.tokCov)
+	ks.sims = resize(ks.sims, ns*nt)
+	ks.exact = resize(ks.exact, ns*nt)
+	for i, ga := range ks.srcGlob {
 		select {
 		case <-done:
+			ks.Release()
 			return nil
 		default:
 		}
-		row := i * ks.ntTok
-		for j, gb := range tgtGlob {
+		row := i * nt
+		for j, gb := range ks.tgtGlob {
 			ts := m.tokenSimUncached(ga, gb)
 			ks.sims[row+j] = ts.score
 			ks.exact[row+j] = ts.exact
+			if ts.score > 0 {
+				ks.tokCov[i*ks.srcWords+j>>6] |= 1 << (j & 63)
+				ks.tokCov[rowCov+j*ks.tgtWords+i>>6] |= 1 << (i & 63)
+			}
 		}
 	}
+	ks.srcCov = unionCov(ks.srcCov, ks.srcToks, ks.tokCov[:rowCov], ks.srcWords)
+	ks.tgtCov = unionCov(ks.tgtCov, ks.tgtToks, ks.tokCov[rowCov:], ks.tgtWords)
+
+	ks.grams.build(ks.tgtF)
 	return ks
 }
 
-// Score returns the label-axis similarity and kind for the source label
-// with vocabulary id si against the target label with id tj. The decision
-// chain mirrors NameMatcher.MatchFeatures step for step (equality,
-// thesaurus, acronym/abbreviation, token aggregation, whole-string
-// similarity) and produces bit-identical results; only the token-pair
-// source differs — matrix reads instead of memoized calls, which the
-// kernel equivalence tests pin as indistinguishable.
-func (ks *KernelScorer) Score(si, tj int32) (float64, Kind) {
-	m := ks.m
-	fa, fb := ks.srcF[si], ks.tgtF[tj]
-	if fa.Norm == "" || fb.Norm == "" {
-		return 0, None
-	}
-	if fa.sing == fb.sing {
-		return 1, Exact
-	}
-	if fa.known || fb.known {
-		switch m.Thesaurus.RelateNormalized(fa.Norm, fb.Norm) {
-		case RelSynonym:
-			return 1, Exact
-		case RelAcronym, RelHypernym, RelHyponym, RelRelated:
-			return RelaxedScore, Relaxed
-		}
-	}
-	if m.abbrevMatch(fa.Norm, fb.Norm, fa.toks, fb.toks) {
-		return RelaxedScore, Relaxed
-	}
-	score, allExact, fullCover := ks.aggregate(si, tj)
-	if score >= MatchThreshold {
-		if allExact && fullCover && score >= 0.999 {
-			return score, Exact
-		}
-		return score, Relaxed
-	}
-	if ws, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams); ok {
-		return ws, Relaxed
-	}
-	return 0, None
+// Release drops the scorer's references to its matcher and labels and
+// returns its buffers to the pool. The scorer must not be used afterwards.
+func (ks *KernelScorer) Release() {
+	ks.m = nil
+	clear(ks.srcF)
+	clear(ks.tgtF)
+	scorerPool.Put(ks)
 }
 
-// aggregate is tokenAggregate over matrix-local token ids.
-func (ks *KernelScorer) aggregate(si, tj int32) (score float64, allExact, fullCover bool) {
-	sa, sb := ks.srcToks[si], ks.tgtToks[tj]
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0, false, false
+// featuresInto resolves the feature vector of every label into buf.
+func featuresInto(buf []*LabelFeatures, m *NameMatcher, labels []string) []*LabelFeatures {
+	buf = resize(buf, len(labels))
+	for i, l := range labels {
+		buf[i] = m.Features(l)
 	}
+	return buf
+}
+
+// localize maps each label's global token ids to local ones, assigning
+// new local ids (recorded in glob) in first-appearance order, and resets
+// the loc entries it set once done.
+func (ks *KernelScorer) localize(out [][]int32, glob []int32, feats []*LabelFeatures) ([][]int32, []int32) {
+	out = resize(out, len(feats))
+	for i, f := range feats {
+		start := len(ks.tokBacking)
+		for _, gid := range f.ids {
+			if ks.loc[gid] < 0 {
+				ks.loc[gid] = int32(len(glob))
+				glob = append(glob, gid)
+			}
+			ks.tokBacking = append(ks.tokBacking, ks.loc[gid])
+		}
+		out[i] = ks.tokBacking[start:len(ks.tokBacking):len(ks.tokBacking)]
+	}
+	for _, gid := range glob {
+		ks.loc[gid] = -1
+	}
+	return out, glob
+}
+
+// unionCov returns, in buf, one bitset of words words per label: the union
+// of the per-token bitsets tokCov holds for the label's tokens.
+func unionCov(buf []uint64, toks [][]int32, tokCov []uint64, words int) []uint64 {
+	buf = resize(buf, len(toks)*words)
+	clear(buf)
+	for l, ts := range toks {
+		dst := buf[l*words : (l+1)*words]
+		for _, t := range ts {
+			for w, v := range tokCov[int(t)*words : (int(t)+1)*words] {
+				dst[w] |= v
+			}
+		}
+	}
+	return buf
+}
+
+// countCovered returns how many of toks have their bit set in cov.
+func countCovered(toks []int32, cov []uint64) int {
+	n := 0
+	for _, t := range toks {
+		n += int(cov[t>>6] >> (t & 63) & 1)
+	}
+	return n
+}
+
+// ScoreRow scores the source label with vocabulary id si against every
+// target label, calling emit(tj, score, kind) for each pair that matches
+// (kind Relaxed or Exact), in ascending tj order; every pair it does not
+// emit scores (0, None). common is caller-owned scratch of at least one
+// entry per target label; concurrent calls need distinct scratch.
+//
+// The decision chain mirrors NameMatcher.MatchFeatures step for step
+// (equality, thesaurus, acronym/abbreviation, token aggregation,
+// whole-string similarity) and produces bit-identical results. Two steps
+// take shortcuts that cannot change an outcome:
+//
+//   - token aggregation runs only when the coverage bound reaches
+//     MatchThreshold. A token's best score is at most 1 and an uncovered
+//     token's is 0, and float addition and division round monotonically,
+//     so the aggregate never exceeds (covA/|sa| + covB/|sb|)/2;
+//   - the trigram Dice comes from the exact multiset overlap the index
+//     counts, through the expression a completed diceSortedBounded merge
+//     evaluates. Where that merge would bail, the Dice is below 0.5 and
+//     simFromDice rejects it as the bail does.
+func (ks *KernelScorer) ScoreRow(si int32, common []int32, emit func(tj int32, score float64, kind Kind)) {
+	m := ks.m
+	fa := ks.srcF[si]
+	if fa.Norm == "" {
+		return
+	}
+	ks.grams.overlap(fa.grams, common[:len(ks.tgtF)])
+	sa := ks.srcToks[si]
+	srcCov := ks.srcCov[int(si)*ks.srcWords : (int(si)+1)*ks.srcWords]
+	for j, fb := range ks.tgtF {
+		tj := int32(j)
+		if fb.Norm == "" {
+			continue
+		}
+		if fa.sing == fb.sing {
+			emit(tj, 1, Exact)
+			continue
+		}
+		if fa.known || fb.known {
+			switch m.Thesaurus.RelateNormalized(fa.Norm, fb.Norm) {
+			case RelSynonym:
+				emit(tj, 1, Exact)
+				continue
+			case RelAcronym, RelHypernym, RelHyponym, RelRelated:
+				emit(tj, RelaxedScore, Relaxed)
+				continue
+			}
+		}
+		if m.abbrevMatch(fa.Norm, fb.Norm, fa.toks, fb.toks) {
+			emit(tj, RelaxedScore, Relaxed)
+			continue
+		}
+		if sb := ks.tgtToks[tj]; ks.coverageReaches(srcCov, j, sa, sb) {
+			score, allExact, fullCover := ks.aggregate(sa, sb)
+			if score >= MatchThreshold {
+				if allExact && fullCover && score >= 0.999 {
+					emit(tj, score, Exact)
+				} else {
+					emit(tj, score, Relaxed)
+				}
+				continue
+			}
+		}
+		tg := 2 * float64(common[j]) / float64(len(fa.grams)+len(fb.grams))
+		if ws, ok := simFromDice(fa.runes, fb.runes, tg); ok {
+			emit(tj, ws, Relaxed)
+		}
+	}
+}
+
+// coverageReaches reports whether the coverage bound of source tokens sa
+// against target label j's tokens sb reaches MatchThreshold; srcCov is
+// the source label's coverage bitset. With no covered target token the
+// bound is at most 1/2, so the source side goes uncounted.
+func (ks *KernelScorer) coverageReaches(srcCov []uint64, j int, sa, sb []int32) bool {
+	if len(sa) == 0 || len(sb) == 0 {
+		return false
+	}
+	covB := countCovered(sb, srcCov)
+	if covB == 0 {
+		return false
+	}
+	covA := countCovered(sa, ks.tgtCov[j*ks.tgtWords:(j+1)*ks.tgtWords])
+	return (float64(covA)/float64(len(sa))+float64(covB)/float64(len(sb)))/2 >= MatchThreshold
+}
+
+// aggregate is tokenAggregate over matrix-local token ids; both lists are
+// non-empty.
+func (ks *KernelScorer) aggregate(sa, sb []int32) (score float64, allExact, fullCover bool) {
 	allExact, fullCover = true, true
 	dirA := ks.directionSrc(sa, sb, &allExact, &fullCover)
 	dirB := ks.directionTgt(sb, sa, &allExact, &fullCover)
@@ -193,4 +334,92 @@ func (ks *KernelScorer) directionTgt(from, to []int32, allExact, fullCover *bool
 		total += best
 	}
 	return total / float64(len(from))
+}
+
+// gramIndex is an inverted index from trigram hash to the labels holding
+// it, in compressed sparse row form: the gram with key id k has the
+// postings post[off[k]:off[k+1]], in ascending label order.
+type gramIndex struct {
+	ids  map[uint64]int32 // gram hash → key id
+	off  []int32
+	post []gramPosting
+	runs []gramRun // build scratch
+}
+
+// gramPosting records that a label holds a gram mult times.
+type gramPosting struct{ label, mult int32 }
+
+// gramRun is one (label, distinct gram) run of a sorted gram multiset.
+type gramRun struct{ key, label, mult int32 }
+
+// build indexes the sorted gram multisets of feats.
+func (x *gramIndex) build(feats []*LabelFeatures) {
+	if x.ids == nil {
+		x.ids = make(map[uint64]int32)
+	}
+	clear(x.ids)
+	x.off, x.runs = x.off[:0], x.runs[:0]
+	// Count each key's postings in off.
+	for l, f := range feats {
+		g := f.grams
+		for i := 0; i < len(g); {
+			j := i + 1
+			for j < len(g) && g[j] == g[i] {
+				j++
+			}
+			k, ok := x.ids[g[i]]
+			if !ok {
+				k = int32(len(x.off))
+				x.ids[g[i]] = k
+				x.off = append(x.off, 0)
+			}
+			x.off[k]++
+			x.runs = append(x.runs, gramRun{k, int32(l), int32(j - i)})
+			i = j
+		}
+	}
+	// Running sums turn the counts into end offsets; placing the runs
+	// backwards then decrements each key's offset to its start and leaves
+	// its postings in ascending label order.
+	sum := int32(0)
+	for k, c := range x.off {
+		sum += c
+		x.off[k] = sum
+	}
+	x.off = append(x.off, sum)
+	x.post = resize(x.post, int(sum))
+	for r := len(x.runs) - 1; r >= 0; r-- {
+		run := x.runs[r]
+		x.off[run.key]--
+		x.post[x.off[run.key]] = gramPosting{run.label, run.mult}
+	}
+}
+
+// overlap writes into common, per indexed label, the size of the multiset
+// intersection of its grams with the sorted multiset g: the count a
+// diceSortedBounded merge of the two reaches.
+func (x *gramIndex) overlap(g []uint64, common []int32) {
+	clear(common)
+	for i := 0; i < len(g); {
+		j := i + 1
+		for j < len(g) && g[j] == g[i] {
+			j++
+		}
+		if k, ok := x.ids[g[i]]; ok {
+			ma := int32(j - i)
+			for _, p := range x.post[x.off[k]:x.off[k+1]] {
+				common[p.label] += min(ma, p.mult)
+			}
+		}
+		i = j
+	}
+}
+
+// resize returns s resized to n elements, reusing its backing array when
+// the capacity allows. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -137,7 +137,16 @@ func simAtLeast(ra, rb []rune, ga, gb []uint64) (float64, bool) {
 	// (1+tg)/2 ≥ floor requires tg ≥ 2·floor−1; the bounded merge stops as
 	// soon as that is provably out of reach.
 	tg, exact := diceSortedBounded(ga, gb, 2*StringSimFloor-1)
-	if !exact || (1+tg)/2 < StringSimFloor {
+	if !exact {
+		return 0, false
+	}
+	return simFromDice(ra, rb, tg)
+}
+
+// simFromDice is simAtLeast given the exact trigram Dice tg of the two
+// strings.
+func simFromDice(ra, rb []rune, tg float64) (float64, bool) {
+	if (1+tg)/2 < StringSimFloor {
 		return 0, false
 	}
 	jw := jaroWinklerRunes(ra, rb)

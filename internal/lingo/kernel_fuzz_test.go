@@ -196,7 +196,11 @@ func referenceTrigramDice(a, b string) float64 {
 // likely to get wrong: thesaurus terms with their plurals, abbreviations
 // and acronyms; the irregular shortenings; labels led by a noise token;
 // digits and non-ASCII runes; labels that normalize to empty; labels past
-// the 64-rune stack buffers; and near-miss trigram overlaps.
+// the 64-rune stack buffers; near-miss trigram overlaps; repeated
+// trigrams, whose multiplicity the overlap index must count; token lists
+// that put the coverage bound exactly at MatchThreshold ("OrderZq" against
+// "OrderOrdersOrderOrdersQx" covers 1 of 2 and 4 of 5 tokens); and the
+// modifier+noun+digits labels of the synthetic schemas.
 var kernelPool = []string{
 	"OrderNo", "order_numbers", "PurchaseOrder", "PO", "POs", "Quantity",
 	"Qty", "quantities", "UnitOfMeasure", "UOM", "uoms", "Lines", "Items",
@@ -217,6 +221,10 @@ var kernelPool = []string{
 	"shipping", "colour", "color", "organisation", "organization",
 	"nightly", "nacht", "abcdefgh", "abcdefgx", "xbcdefgh", "manufacturer",
 	"manfuanturer", "customername", "custmernane",
+	"aaaaaa", "aaa", "abcabcabc", "abcabc", "AbcAbcAbcX", "Abcabcabc_Y",
+	"OrderZq", "OrdrZq", "OrderOrdersOrderOrdersQx",
+	"PrimaryOrder1234", "SecondaryOrder", "PrimaryOrders", "TotalPrice7",
+	"NetPrice", "Customer42",
 }
 
 // fuzzVocabulary turns fuzz input into a label vocabulary: the lines of
@@ -258,8 +266,10 @@ func fuzzVocabulary(text string, pick uint64) []string {
 // and kind both: Match on a fresh NameMatcher, Match on the warm matcher
 // the scorer was built from (after it scored an unrelated vocabulary, so
 // its token ids differ from a fresh matcher's), and referenceMatch. The
-// thesaurus is the built-in one or, to let the structural acronym and
-// abbreviation tests decide, an empty one.
+// scorer is built over buffers a scorer of other vocabularies used and
+// released, and its rows go through stale overlap scratch. The thesaurus
+// is the built-in one or, to let the structural acronym and abbreviation
+// tests decide, an empty one.
 func FuzzKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, srcText, tgtText string, pick uint64, builtin bool) {
 		th := NewThesaurus()
@@ -269,13 +279,31 @@ func FuzzKernel(f *testing.F) {
 		src := fuzzVocabulary(srcText, pick)
 		tgt := fuzzVocabulary(tgtText, bits.RotateLeft64(pick, 32))
 		warm := NewNameMatcher(th)
-		for _, l := range fuzzVocabulary("", ^pick) {
+		other := fuzzVocabulary("", ^pick)
+		for _, l := range other {
 			warm.Match(l, src[0])
 		}
+		warm.NewKernelScorer(tgt, other, nil).Release()
 		ks := warm.NewKernelScorer(src, tgt, nil)
+		defer ks.Release()
+		common := make([]int32, len(tgt))
+		for j := range common {
+			common[j] = int32(j) - 3
+		}
+		scores, kinds := make([]float64, len(tgt)), make([]Kind, len(tgt))
 		for i, a := range src {
+			clear(scores)
+			clear(kinds)
+			last := int32(-1)
+			ks.ScoreRow(int32(i), common, func(j int32, s float64, k Kind) {
+				if j <= last || k == None {
+					t.Fatalf("row %q: emit(%d, %v, %v) after target %d", a, j, s, k, last)
+				}
+				last = j
+				scores[j], kinds[j] = s, k
+			})
 			for j, b := range tgt {
-				s, k := ks.Score(int32(i), int32(j))
+				s, k := scores[j], kinds[j]
 				fs, fk := NewNameMatcher(th).Match(a, b)
 				ws, wk := warm.Match(a, b)
 				rs, rk := referenceMatch(th, a, b)

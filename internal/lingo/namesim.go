@@ -138,7 +138,7 @@ func (m *NameMatcher) abbrevMatch(na, nb string, ta, tb []string) bool {
 			return true
 		}
 	}
-	return len(tl) == 1 && IsAbbreviationOf(ns, nl)
+	return len(tl) == 1 && isAbbreviationLower(ns, nl)
 }
 
 // Score returns just the similarity of two labels.
@@ -216,7 +216,7 @@ func (m *NameMatcher) tokenSimUncached(a, b int32) tokenScore {
 			return tokenScore{RelaxedScore, false}
 		}
 	}
-	if IsAbbreviationOf(ta, tb) || IsAbbreviationOf(tb, ta) {
+	if isAbbreviationLower(ta, tb) || isAbbreviationLower(tb, ta) {
 		return tokenScore{RelaxedScore, false}
 	}
 	if s, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams); ok {

@@ -60,7 +60,14 @@ func (n *Node) Add(child *Node) *Node {
 		child.Props.Order = len(n.Children) + 1
 	}
 	n.Children = append(n.Children, child)
-	n.invalidate()
+	// Only the attached subtree's levels and paths change. child may have
+	// been a root, which caches no level even when its children do, so
+	// its children are always visited.
+	child.level.Store(0)
+	child.path.Store(nil)
+	for _, c := range child.Children {
+		c.invalidate()
+	}
 	return n
 }
 
@@ -82,7 +89,7 @@ func (n *Node) Root() *Node {
 // Level returns the depth of n from its root; a root has level 0. Levels
 // are computed lazily and cached with atomics, so concurrent readers of a
 // finished tree may race to fill the cache but always store the same value.
-// Add invalidates the cache for the whole tree.
+// Add invalidates the caches of the subtree it attaches.
 func (n *Node) Level() int {
 	if n.parent == nil {
 		return 0
@@ -113,15 +120,19 @@ func (n *Node) Path() string {
 	return p
 }
 
-// invalidate clears cached levels and paths below n after mutation.
+// invalidate clears the cached levels and paths of the subtree of n, a
+// non-root node. Level and Path cache every non-root ancestor of a node
+// they cache, so below a non-root node that caches neither nothing is
+// cached, and the walk stops there.
 func (n *Node) invalidate() {
-	n.Walk(func(d *Node) bool {
-		d.path.Store(nil)
-		if d.parent != nil {
-			d.level.Store(0)
-		}
-		return true
-	})
+	if n.level.Load() == 0 && n.path.Load() == nil {
+		return
+	}
+	n.level.Store(0)
+	n.path.Store(nil)
+	for _, c := range n.Children {
+		c.invalidate()
+	}
 }
 
 // Walk visits n and all descendants in depth-first pre-order. The visit

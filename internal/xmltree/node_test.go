@@ -224,4 +224,16 @@ func TestInvalidateOnAdd(t *testing.T) {
 	if got := lines.Level(); got != 1 {
 		t.Fatalf("stale level after re-add: %d", got)
 	}
+
+	// A root caches no level, even when its children do: attaching one
+	// must still refresh the levels below it.
+	sub := NewTree("Sub", Properties{}, NewTree("Mid", Properties{}, New("Leaf", Properties{})))
+	leaf := sub.Children[0].Children[0]
+	if got := leaf.Level(); got != 2 {
+		t.Fatalf("leaf level %d before the attach, want 2", got)
+	}
+	New("Top", Properties{}).Add(sub)
+	if got := leaf.Level(); got != 3 {
+		t.Fatalf("stale level after attaching a root: %d", got)
+	}
 }
