@@ -52,26 +52,27 @@ func NewHybrid(th *lingo.Thesaurus) *Hybrid {
 func (h *Hybrid) Name() string { return "hybrid" }
 
 // Select derives the one-to-one correspondences from a filled pair table
-// in place. One walk over the computed cells keeps those that carry label
-// evidence (when RequireLabelEvidence is set) and reach SelectionThreshold
-// as match.Select candidates, so selection copies candidates, not cells.
-// The select span counts every cell that passes the label gate, below the
-// threshold too, and the correspondences accepted.
+// in place. One walk over the two planes keeps the computed cells that
+// carry label evidence (when RequireLabelEvidence is set) and reach
+// SelectionThreshold as match.Select candidates, so selection copies
+// candidates, not cells. The select span counts every cell that passes the
+// label gate, below the threshold too, and the correspondences accepted.
 func (h *Hybrid) Select(r *Result) []match.Correspondence {
 	sp := h.Trace.StartSpan(obs.PhaseSelect)
 	var cands []match.ScoredPair
 	var gated int64
 	m := len(r.tgtNodes)
-	for base := 0; base < len(r.table); base += m {
+	for base := 0; base < len(r.values); base += m {
 		s := r.srcNodes[base/m]
+		flags, values := r.flags[base:base+m], r.values[base:base+m]
 		for j, t := range r.tgtNodes {
-			q := &r.table[base+j]
-			if !r.done[base+j] || (h.RequireLabelEvidence && q.LabelKind == lingo.None) {
+			// The label gate wants a label kind other than None (zero).
+			if f := flags[j]; f&flagDone == 0 || (h.RequireLabelEvidence && f&flagKind == 0) {
 				continue
 			}
 			gated++
-			if q.Value >= h.SelectionThreshold {
-				cands = append(cands, match.ScoredPair{Source: s, Target: t, Score: q.Value})
+			if v := values[j]; v >= h.SelectionThreshold {
+				cands = append(cands, match.ScoredPair{Source: s, Target: t, Score: v})
 			}
 		}
 	}
@@ -96,10 +97,12 @@ func (h *Hybrid) Match(src, tgt *xmltree.Node) []match.Correspondence {
 func (h *Hybrid) Pairs(src, tgt *xmltree.Node) []match.ScoredPair {
 	r := h.Tree(src, tgt)
 	defer r.Release()
-	pairs := r.Pairs()
-	out := make([]match.ScoredPair, len(pairs))
-	for i, p := range pairs {
-		out[i] = match.ScoredPair{Source: p.Source, Target: p.Target, Score: p.QoM.Value}
+	out := make([]match.ScoredPair, 0, len(r.values))
+	m := len(r.tgtNodes)
+	for idx, f := range r.flags {
+		if f&flagDone != 0 {
+			out = append(out, match.ScoredPair{Source: r.srcNodes[idx/m], Target: r.tgtNodes[idx%m], Score: r.values[idx]})
+		}
 	}
 	return out
 }

@@ -41,10 +41,11 @@ func (m *Matcher) Explain(r *Result, s, t *xmltree.Node) string {
 		b.WriteString("  child contributions (best target per source child, threshold ")
 		fmt.Fprintf(&b, "%.2f):\n", m.Threshold)
 		for _, cs := range s.Children {
-			best, bt := QoM{}, (*xmltree.Node)(nil)
+			// The children axis reads only the candidates' values.
+			best, bt := 0.0, (*xmltree.Node)(nil)
 			consider := func(ct *xmltree.Node) {
-				if cq, ok := r.Pair(cs, ct); ok && cq.Value > best.Value {
-					best, bt = cq, ct
+				if idx := r.index(cs, ct); idx >= 0 && r.flags[idx]&flagDone != 0 && r.values[idx] > best {
+					best, bt = r.values[idx], ct
 				}
 			}
 			for _, ct := range t.Children {
@@ -56,10 +57,10 @@ func (m *Matcher) Explain(r *Result, s, t *xmltree.Node) string {
 			switch {
 			case bt == nil:
 				fmt.Fprintf(&b, "    %-30s -> (no candidate)\n", cs.Label)
-			case best.Value >= m.Threshold-1e-9:
-				fmt.Fprintf(&b, "    %-30s -> %-30s %.3f ✓\n", cs.Label, bt.Label, best.Value)
+			case best >= m.Threshold-1e-9:
+				fmt.Fprintf(&b, "    %-30s -> %-30s %.3f ✓\n", cs.Label, bt.Label, best)
 			default:
-				fmt.Fprintf(&b, "    %-30s -> %-30s %.3f below threshold\n", cs.Label, bt.Label, best.Value)
+				fmt.Fprintf(&b, "    %-30s -> %-30s %.3f below threshold\n", cs.Label, bt.Label, best)
 			}
 		}
 	}

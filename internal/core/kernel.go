@@ -128,7 +128,7 @@ type simKernel struct {
 // pair (they depend on both vocabularies). The planes reuse b's pooled
 // slabs; stale contents are harmless because the fill writes every
 // logical entry and the accessors never touch tile padding.
-func newKernelFrom(src, tgt *Interned, b *matchBuffers) *simKernel {
+func newKernelFrom(src, tgt *Interned, b *kernelBuffers) *simKernel {
 	k := &simKernel{src: src, tgt: tgt}
 	var ln, pn int
 	k.lb, ln = newBlocked(len(src.Labels), len(tgt.Labels))
@@ -256,7 +256,7 @@ func (tt *typeTable) assign(ids []int32, props []xmltree.Properties) []int32 {
 // more than the fresh score it would save (DESIGN.md §5.9). Once m.Done
 // fires, the scorer's token matrix and the workers stop between rows; fill
 // reports whether every row was scored.
-func (k *simKernel) fill(m *Matcher, b *matchBuffers, par int) bool {
+func (k *simKernel) fill(m *Matcher, b *kernelBuffers, par int) bool {
 	ks := m.Names.NewKernelScorer(k.src.Labels, k.tgt.Labels, m.Done)
 	if ks == nil {
 		return false

@@ -76,7 +76,7 @@ func TestTopPairsMatchesSort(t *testing.T) {
 		NewMatcher(nil).Tree(wide("L", 20), wide("R", 20)),
 	}
 	for ri, r := range results {
-		for _, n := range []int{1, 3, 10, 57, len(r.table), len(r.table) + 100} {
+		for _, n := range []int{1, 3, 10, 57, len(r.values), len(r.values) + 100} {
 			got := r.TopPairs(n)
 			want := topPairsReference(r, n)
 			if !reflect.DeepEqual(got, want) {
@@ -93,7 +93,7 @@ func TestTopPairsMatchesSort(t *testing.T) {
 }
 
 // Allocation regression gate for the hybrid hot loop. With the pooled
-// arena buffers (matchBuffers) a released warm DCMD fill runs at ~50
+// arena buffers (tableBuffers, kernelBuffers) a released warm DCMD fill runs at ~50
 // allocations — what remains is the interner, kernel bookkeeping and the
 // Result header, not per-cell garbage. The 700 ceiling trips on any return
 // of per-cell allocation or a fill that stops drawing from the pool,

@@ -85,10 +85,14 @@ func NewMatcher(th *lingo.Thesaurus) *Matcher {
 
 // Result holds the full pair table of a tree match: the QoM of every
 // (source node, target node) pair, memoized during the recursion — this is
-// what realizes the paper's O(n·m) bound (DESIGN.md §5.1). The table is a
-// dense n×m slice indexed by pre-order position; on the corpus' largest
-// workload (231×3753 nodes) this more than halves the allocation volume a
-// map-based memo would cost.
+// what realizes the paper's O(n·m) bound (DESIGN.md §5.1). The table is
+// dense n×m and indexed by pre-order position, and it keeps two planes: a
+// cell's QoM value, and a flag byte that packs its class, its label kind
+// and whether it was computed. That is all the children axis, selection
+// and a re-match read, 9 bytes per cell. The rest of a cell's QoM is
+// recomputed on demand from the kernel's label and property outcomes and
+// the children's planes (computeCell), so the accessors need the kernel,
+// which a parked or released Result no longer has.
 type Result struct {
 	Source, Target *xmltree.Node
 	// Root is the QoM of the two schema roots — "the total match value
@@ -97,30 +101,56 @@ type Result struct {
 
 	srcNodes, tgtNodes []*xmltree.Node
 	srcIdx, tgtIdx     map[*xmltree.Node]int
-	table              []QoM
-	done               []bool
+	values             []float64
+	flags              []uint8
 	kern               *simKernel
 
 	// Iterative-fill side structures (built once per match in newResult):
 	// child lists as pre-order indices, nesting levels, leaf flags, and the
-	// root-pair level rule, all precomputed so computeRow touches no node
+	// root-pair level rule, all precomputed so computeCell touches no node
 	// pointers on the hot path.
 	srcKids, tgtKids     [][]int32
 	srcLevels, tgtLevels []int32
 	srcLeaf, tgtLeaf     []bool
 	rootLevelEq          bool
 
-	// buf is the pooled slab set backing the slices above (see arena.go);
-	// nil after Release.
-	buf *matchBuffers
+	// The fill's tuning: normalized axis weights and the children axis'
+	// threshold (with its epsilon), kept so computeCell can recompute a cell.
+	w  AxisWeights
+	th float64
+
+	// buf and kbuf are the pooled table and kernel slab sets backing the
+	// slices above (see arena.go); kbuf is nil without a kernel, and both
+	// are nil after Release.
+	buf  *tableBuffers
+	kbuf *kernelBuffers
 }
 
-func newResult(src, tgt *xmltree.Node) *Result {
+// A cell's flag byte: its class in bits 0–2, its label kind in bits 3–4,
+// and flagDone once the cell is computed. A zero byte is an uncomputed
+// cell.
+const (
+	flagClass     = 0x07
+	flagKindShift = 3
+	flagKind      = 0x03 << flagKindShift
+	flagDone      = 0x80
+)
+
+// cellFlags packs the flag byte of a computed cell.
+func cellFlags(q *QoM) uint8 {
+	return flagDone | uint8(q.LabelKind)<<flagKindShift | uint8(q.Class)
+}
+
+func (m *Matcher) newResult(src, tgt *xmltree.Node) *Result {
 	r := &Result{
 		Source:   src,
 		Target:   tgt,
 		srcNodes: src.Nodes(),
 		tgtNodes: tgt.Nodes(),
+		w:        m.Weights.Normalized(),
+		// Epsilon guards the common case of a child sitting exactly at
+		// the threshold under inexact float sums.
+		th: m.Threshold - 1e-9,
 	}
 	r.buf = acquireBuffers(r)
 	for i, n := range r.srcNodes {
@@ -155,9 +185,9 @@ func buildSide(nodes []*xmltree.Node, idx map[*xmltree.Node]int, kids [][]int32,
 	}
 }
 
-// cell returns the dense index of a pair, or -1 when either node is not
+// index returns the dense index of a pair, or -1 when either node is not
 // part of the matched trees.
-func (r *Result) cell(s, t *xmltree.Node) int {
+func (r *Result) index(s, t *xmltree.Node) int {
 	i, ok := r.srcIdx[s]
 	if !ok {
 		return -1
@@ -186,14 +216,14 @@ type PairQoM struct {
 // height level out over the worker pool (sweepLevels). Both schedules
 // produce bit-identical tables.
 func (m *Matcher) Tree(src, tgt *xmltree.Node) *Result {
-	r := newResult(src, tgt)
+	r := m.newResult(src, tgt)
 	par := m.parallelism()
-	if len(r.table) < parallelCutoff {
+	if len(r.values) < parallelCutoff {
 		par = 1
 	}
-	m.buildKernel(r, int64(len(r.table)), par)
+	m.buildKernel(r, int64(len(r.values)), par)
 	sp := m.Trace.StartSpan(obs.PhasePairTable)
-	tw := &treeWorker{m: m, names: m.Names, r: r, w: m.Weights.Normalized()}
+	tw := &treeWorker{m: m, names: m.Names, r: r}
 	partial := false
 	pprof.Do(context.Background(), r.profileLabels("pairtable"), func(context.Context) {
 		if par == 1 {
@@ -211,9 +241,6 @@ func (m *Matcher) Tree(src, tgt *xmltree.Node) *Result {
 		}
 	}
 	sp.End()
-	if r.done[0] { // cell (0, 0): the (src, tgt) root pair
-		r.Root = r.table[0]
-	}
 	return r
 }
 
@@ -234,10 +261,10 @@ func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
 	pprof.Do(context.Background(), r.profileLabels("kernel"), func(context.Context) {
 		si, ti = m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes)
 		if cells >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			k := newKernelFrom(si, ti, r.buf)
-			if k.fill(m, r.buf, par) {
-				r.kern = k
-			} else {
+			r.kbuf = kernelPool.Get().(*kernelBuffers)
+			r.kern = newKernelFrom(si, ti, r.kbuf)
+			if !r.kern.fill(m, r.kbuf, par) {
+				r.releaseKernel()
 				partial = true
 			}
 		}
@@ -293,14 +320,14 @@ func (m *Matcher) aborted() bool {
 }
 
 // filled returns the number of computed pair-table cells: the whole table
-// after a completed sweep, a scan of the done flags after a partial one.
+// after a completed sweep, a scan of the flag bytes after a partial one.
 func (r *Result) filled(partial bool) int64 {
 	if !partial {
-		return int64(len(r.table))
+		return int64(len(r.values))
 	}
 	var n int64
-	for _, d := range r.done {
-		if d {
+	for _, f := range r.flags {
+		if f&flagDone != 0 {
 			n++
 		}
 	}
@@ -354,7 +381,6 @@ type treeWorker struct {
 	m     *Matcher
 	names *lingo.NameMatcher
 	r     *Result
-	w     AxisWeights
 }
 
 // sweepRows is the one-worker schedule: descending pre-order on the
@@ -441,19 +467,13 @@ func (tw *treeWorker) computeRow(i int) { tw.computeCols(i, nil) }
 // target subtree is unchanged are copied from the previous table, and only
 // the dirty columns are recomputed — valid in any row order satisfying the
 // children-before-parents discipline, because copied columns are complete
-// for all rows before the sweep starts.
+// for all rows before the sweep starts. Each cell's QoM is built in a local
+// and only its value and flag byte are stored; cell (0, 0) keeps its whole
+// QoM as Root.
 func (tw *treeWorker) computeCols(i int, cols []int32) {
 	r := tw.r
-	mcols := len(r.tgtNodes)
-	base := i * mcols
-	kids := r.srcKids[i]
-	sLeaf := r.srcLeaf[i]
-	sLvl := r.srcLevels[i]
-	k := r.kern
-	// Epsilon guards the common case of a child sitting exactly at the
-	// threshold under inexact float sums.
-	th := tw.m.Threshold - 1e-9
-	nj := mcols
+	base := i * len(r.tgtNodes)
+	nj := len(r.tgtNodes)
 	if cols != nil {
 		nj = len(cols)
 	}
@@ -462,111 +482,129 @@ func (tw *treeWorker) computeCols(i int, cols []int32) {
 		if cols != nil {
 			j = int(cols[cj])
 		}
-		// Build the cell in place: the QoM is ~10 words, and a
-		// stack-then-copy construction costs a duffcopy per cell.
-		q := &r.table[base+j]
-		*q = QoM{}
-		if k != nil {
-			q.Label, q.LabelKind = k.labelAt(i, j)
-			q.Properties, q.PropertiesKind = k.propAt(i, j)
-		} else {
-			s, t := r.srcNodes[i], r.tgtNodes[j]
-			q.Label, q.LabelKind = tw.names.Match(s.Label, t.Label)
-			pq := MatchProperties(s.Props, t.Props)
-			q.Properties, q.PropertiesKind = pq.Score, pq.Kind
+		var q QoM
+		r.scoreAxes(&q, i, j, tw.names)
+		r.computeCell(&q, i, j)
+		r.values[base+j] = q.Value
+		r.flags[base+j] = cellFlags(&q)
+		if base+j == 0 { // the (src, tgt) root pair
+			r.Root = q
 		}
-
-		if sLeaf && r.tgtLeaf[j] {
-			// Leaf match (Eq. 2): label and properties compared; level and
-			// children match exactly by default — the constant C = WH + WC.
-			q.Leaf = true
-			q.LevelExact = true
-			q.Level = 1
-			q.SubtreeWeight, q.CardinalityRatio = 1, 1
-			q.Children = 1
-			q.Coverage = Total
-			q.ChildrenAllExact = true
-		} else {
-			// The root pair compares tree heights, every other pair
-			// nesting levels (levelEqual); rootLevelEq caches the former.
-			if i == 0 && j == 0 {
-				q.LevelExact = r.rootLevelEq
-			} else {
-				q.LevelExact = sLvl == r.tgtLevels[j]
-			}
-			if q.LevelExact {
-				q.Level = 1
-			}
-			// Children axis (Eq. 3–5): each source child contributes its
-			// best-matching target candidate when that match clears the
-			// threshold. Candidates are the target's children plus the
-			// target node itself — the paper's §2.2 walkthrough matches
-			// the source child PurchaseInfo against the target *root*
-			// Purchase Order, so a source nested one level deeper than
-			// the target can still achieve coverage.
-			//
-			// Two notions are tracked separately. The *quantitative* Rw/Rs
-			// follow Fig. 3's threshold on the QoM value, which lets pure
-			// structural agreement propagate (the Fig. 9 behaviour). The
-			// *qualitative* coverage classification (total/partial, §2.1)
-			// additionally requires the child's best pair not to classify
-			// as NoMatch — a label-less structural coincidence contributes
-			// weight but does not make a child "have a match". Only the
-			// best candidate's index is tracked; its Class is read once at
-			// the end (NoMatch when nothing beat the zero QoM).
-			sum := 0.0
-			count := 0
-			covered := 0
-			allExact := true
-			tKids := r.tgtKids[j]
-			for _, ci := range kids {
-				cbase := int(ci) * mcols
-				bestIdx := -1
-				bestVal := 0.0
-				for _, cj := range tKids {
-					if v := r.table[cbase+int(cj)].Value; v > bestVal {
-						bestVal, bestIdx = v, cbase+int(cj)
-					}
-				}
-				if !r.srcLeaf[ci] {
-					if v := r.table[cbase+j].Value; v > bestVal {
-						bestVal, bestIdx = v, cbase+j
-					}
-				}
-				if bestVal >= th {
-					sum += bestVal
-					count++
-					var cls Class
-					if bestIdx >= 0 {
-						cls = r.table[bestIdx].Class
-					}
-					if cls != NoMatch {
-						covered++
-						if cls != TotalExact {
-							allExact = false
-						}
-					}
-				}
-			}
-			if n := len(kids); n > 0 {
-				q.SubtreeWeight = sum / float64(n)
-				q.CardinalityRatio = float64(count) / float64(n)
-				switch {
-				case covered == n:
-					q.Coverage = Total
-				case covered > 0:
-					q.Coverage = Partial
-				}
-			}
-			q.Children = (q.SubtreeWeight + q.CardinalityRatio) / 2
-			q.ChildrenAllExact = allExact && covered > 0
-		}
-
-		q.Value = tw.w.Label*q.Label + tw.w.Properties*q.Properties +
-			tw.w.Level*q.Level + tw.w.Children*q.Children
-		q.classify()
-		r.done[base+j] = true
 	}
+}
+
+// scoreAxes sets q's label and property outcomes for cell (i, j): the
+// kernel's entries, or, on a Result without a kernel, names' and
+// MatchProperties' direct scores.
+func (r *Result) scoreAxes(q *QoM, i, j int, names *lingo.NameMatcher) {
+	if k := r.kern; k != nil {
+		q.Label, q.LabelKind = k.labelAt(i, j)
+		q.Properties, q.PropertiesKind = k.propAt(i, j)
+		return
+	}
+	s, t := r.srcNodes[i], r.tgtNodes[j]
+	q.Label, q.LabelKind = names.Match(s.Label, t.Label)
+	pq := MatchProperties(s.Props, t.Props)
+	q.Properties, q.PropertiesKind = pq.Score, pq.Kind
+}
+
+// computeCell is the cell function (Fig. 3, Eq. 1–6). It completes q,
+// whose label and property outcomes the caller has set, as the QoM of cell
+// (i, j). The children axis reads only each child pair's stored value and
+// class, so the sweep calls it once the children's rows are filled, and
+// the accessors recompute any computed cell through it, bit for bit.
+func (r *Result) computeCell(q *QoM, i, j int) {
+	if r.srcLeaf[i] && r.tgtLeaf[j] {
+		// Leaf match (Eq. 2): label and properties compared; level and
+		// children match exactly by default — the constant C = WH + WC.
+		q.Leaf = true
+		q.LevelExact = true
+		q.Level = 1
+		q.SubtreeWeight, q.CardinalityRatio = 1, 1
+		q.Children = 1
+		q.Coverage = Total
+		q.ChildrenAllExact = true
+	} else {
+		// The root pair compares tree heights, every other pair
+		// nesting levels (levelEqual); rootLevelEq caches the former.
+		if i == 0 && j == 0 {
+			q.LevelExact = r.rootLevelEq
+		} else {
+			q.LevelExact = r.srcLevels[i] == r.tgtLevels[j]
+		}
+		if q.LevelExact {
+			q.Level = 1
+		}
+		// Children axis (Eq. 3–5): each source child contributes its
+		// best-matching target candidate when that match clears the
+		// threshold. Candidates are the target's children plus the
+		// target node itself — the paper's §2.2 walkthrough matches
+		// the source child PurchaseInfo against the target *root*
+		// Purchase Order, so a source nested one level deeper than
+		// the target can still achieve coverage.
+		//
+		// Two notions are tracked separately. The *quantitative* Rw/Rs
+		// follow Fig. 3's threshold on the QoM value, which lets pure
+		// structural agreement propagate (the Fig. 9 behaviour). The
+		// *qualitative* coverage classification (total/partial, §2.1)
+		// additionally requires the child's best pair not to classify
+		// as NoMatch — a label-less structural coincidence contributes
+		// weight but does not make a child "have a match". Only the
+		// best candidate's index is tracked; its Class is read once at
+		// the end (NoMatch when nothing beat the zero QoM).
+		mcols := len(r.tgtNodes)
+		values, flags := r.values, r.flags
+		kids, tKids := r.srcKids[i], r.tgtKids[j]
+		sum := 0.0
+		count := 0
+		covered := 0
+		allExact := true
+		for _, ci := range kids {
+			cbase := int(ci) * mcols
+			bestIdx := -1
+			bestVal := 0.0
+			for _, cj := range tKids {
+				if v := values[cbase+int(cj)]; v > bestVal {
+					bestVal, bestIdx = v, cbase+int(cj)
+				}
+			}
+			if !r.srcLeaf[ci] {
+				if v := values[cbase+j]; v > bestVal {
+					bestVal, bestIdx = v, cbase+j
+				}
+			}
+			if bestVal >= r.th {
+				sum += bestVal
+				count++
+				var cls Class
+				if bestIdx >= 0 {
+					cls = Class(flags[bestIdx] & flagClass)
+				}
+				if cls != NoMatch {
+					covered++
+					if cls != TotalExact {
+						allExact = false
+					}
+				}
+			}
+		}
+		if n := len(kids); n > 0 {
+			q.SubtreeWeight = sum / float64(n)
+			q.CardinalityRatio = float64(count) / float64(n)
+			switch {
+			case covered == n:
+				q.Coverage = Total
+			case covered > 0:
+				q.Coverage = Partial
+			}
+		}
+		q.Children = (q.SubtreeWeight + q.CardinalityRatio) / 2
+		q.ChildrenAllExact = allExact && covered > 0
+	}
+
+	q.Value = r.w.Label*q.Label + r.w.Properties*q.Properties +
+		r.w.Level*q.Level + r.w.Children*q.Children
+	q.classify()
 }
 
 // levelEqual implements the level axis (QoMH). The paper compares nesting
@@ -581,24 +619,46 @@ func levelEqual(s, t *xmltree.Node) bool {
 	return s.Level() == t.Level()
 }
 
-// Pair returns the QoM of a specific node pair from the result table.
-func (r *Result) Pair(s, t *xmltree.Node) (QoM, bool) {
-	idx := r.cell(s, t)
-	if idx < 0 || !r.done[idx] {
+// qomAt recomputes the full QoM of computed cell idx through the cell
+// function. The label and property outcomes come from the kernel, or from
+// names when r has none; with neither, or for an uncomputed cell, it
+// reports false.
+func (r *Result) qomAt(idx int, names *lingo.NameMatcher) (QoM, bool) {
+	if r.flags[idx]&flagDone == 0 || (r.kern == nil && names == nil) {
 		return QoM{}, false
 	}
-	return r.table[idx], true
+	m := len(r.tgtNodes)
+	i, j := idx/m, idx%m
+	var q QoM
+	r.scoreAxes(&q, i, j, names)
+	r.computeCell(&q, i, j)
+	return q, true
 }
 
-// Pairs returns every pair of the table in deterministic (source pre-order,
-// target pre-order) order.
+// Pair returns the QoM of a specific node pair, recomputed from the table.
+// It reports false for a pair outside the matched trees, an uncomputed
+// cell, or a Result without a kernel (parked or released).
+func (r *Result) Pair(s, t *xmltree.Node) (QoM, bool) {
+	idx := r.index(s, t)
+	if idx < 0 {
+		return QoM{}, false
+	}
+	return r.qomAt(idx, nil)
+}
+
+// Pairs returns every computed pair of the table in deterministic (source
+// pre-order, target pre-order) order, or nil for a Result without a
+// kernel.
 func (r *Result) Pairs() []PairQoM {
-	out := make([]PairQoM, 0, len(r.table))
+	if r.kern == nil {
+		return nil
+	}
+	out := make([]PairQoM, 0, len(r.values))
 	for i, s := range r.srcNodes {
 		base := i * len(r.tgtNodes)
 		for j, t := range r.tgtNodes {
-			if r.done[base+j] {
-				out = append(out, PairQoM{Source: s, Target: t, QoM: r.table[base+j]})
+			if q, ok := r.qomAt(base+j, nil); ok {
+				out = append(out, PairQoM{Source: s, Target: t, QoM: q})
 			}
 		}
 	}
@@ -606,31 +666,36 @@ func (r *Result) Pairs() []PairQoM {
 }
 
 // BestForSource returns the target node with the highest QoM for the given
-// source node, or nil when the source has no scored pairs.
+// source node, or nil when the source has no scored pairs or the Result
+// has no kernel.
 func (r *Result) BestForSource(s *xmltree.Node) (*xmltree.Node, QoM) {
 	i, ok := r.srcIdx[s]
-	if !ok {
+	if !ok || r.kern == nil {
 		return nil, QoM{}
 	}
-	var bestT *xmltree.Node
-	var bestQ QoM
+	best := -1
 	base := i * len(r.tgtNodes)
-	for j, t := range r.tgtNodes {
-		if r.done[base+j] && (bestT == nil || r.table[base+j].Value > bestQ.Value) {
-			bestT, bestQ = t, r.table[base+j]
+	for j := range r.tgtNodes {
+		if r.flags[base+j]&flagDone != 0 && (best < 0 || r.values[base+j] > r.values[base+best]) {
+			best = j
 		}
 	}
-	return bestT, bestQ
+	if best < 0 {
+		return nil, QoM{}
+	}
+	q, _ := r.qomAt(base+best, nil)
+	return r.tgtNodes[best], q
 }
 
 // TopPairs returns the n highest-QoM pairs, ties broken by source then
-// target pre-order position. Selection runs a bounded min-heap in a single
-// pass over the dense table — O(cells·log n) and n heap entries instead of
-// materializing and sorting all n·m pairs, which on the PIR×PDB table
-// (867k cells) is the difference between microseconds and a full
-// sort-the-world pass (see BenchmarkTopPairs).
+// target pre-order position, or nil for a Result without a kernel.
+// Selection runs a bounded min-heap in a single pass over the value plane —
+// O(cells·log n) and n heap entries instead of materializing and sorting
+// all n·m pairs, which on the PIR×PDB table (867k cells) is the difference
+// between microseconds and a full sort-the-world pass (see
+// BenchmarkTopPairs). Only the n winners are recomputed as full QoMs.
 func (r *Result) TopPairs(n int) []PairQoM {
-	if n <= 0 {
+	if n <= 0 || r.kern == nil {
 		return nil
 	}
 	type entry struct {
@@ -647,7 +712,7 @@ func (r *Result) TopPairs(n int) []PairQoM {
 		return a.idx > b.idx
 	}
 	// Min-heap of the current top n, worst entry at the root.
-	heap := make([]entry, 0, min2(n, len(r.table)))
+	heap := make([]entry, 0, min(n, len(r.values)))
 	siftUp := func(i int) {
 		for i > 0 {
 			p := (i - 1) / 2
@@ -676,11 +741,11 @@ func (r *Result) TopPairs(n int) []PairQoM {
 			i = least
 		}
 	}
-	for idx := range r.table {
-		if !r.done[idx] {
+	for idx, f := range r.flags {
+		if f&flagDone == 0 {
 			continue
 		}
-		e := entry{idx: idx, value: r.table[idx].Value}
+		e := entry{idx: idx, value: r.values[idx]}
 		switch {
 		case len(heap) < n:
 			heap = append(heap, e)
@@ -694,14 +759,8 @@ func (r *Result) TopPairs(n int) []PairQoM {
 	out := make([]PairQoM, len(heap))
 	m := len(r.tgtNodes)
 	for i, e := range heap {
-		out[i] = PairQoM{Source: r.srcNodes[e.idx/m], Target: r.tgtNodes[e.idx%m], QoM: r.table[e.idx]}
+		q, _ := r.qomAt(e.idx, nil)
+		out[i] = PairQoM{Source: r.srcNodes[e.idx/m], Target: r.tgtNodes[e.idx%m], QoM: q}
 	}
 	return out
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -115,22 +115,33 @@ func (o *oracle) qom(s, t *xmltree.Node) QoM {
 }
 
 // checkOracle demands that every cell of r equal, bit for bit, the
-// oracle's QoM for the same node pair. It reports the first divergent cell
-// only.
+// oracle's QoM for the same node pair: its stored value and flag byte, and
+// its full QoM recomputed through the cell function. A Result without a
+// kernel (a small re-match) takes the recomputation's label and property
+// outcomes from a fresh NameMatcher. Root must equal the oracle's root
+// pair. It reports the first divergent cell only.
 func checkOracle(t *testing.T, name string, o *oracle, r *Result) {
 	t.Helper()
 	if !r.complete() {
 		t.Errorf("%s: pair table incomplete", name)
 		return
 	}
+	names := lingo.NewNameMatcher(o.names.Thesaurus)
 	m := len(r.tgtNodes)
 	for i, s := range r.srcNodes {
 		for j, tn := range r.tgtNodes {
-			if got, want := r.table[i*m+j], o.qom(s, tn); got != want {
-				t.Errorf("%s: cell (%s, %s) = %+v, oracle %+v", name, s.Path(), tn.Path(), got, want)
+			idx := i*m + j
+			want := o.qom(s, tn)
+			got, _ := r.qomAt(idx, names)
+			if r.values[idx] != want.Value || r.flags[idx] != cellFlags(&want) || got != want {
+				t.Errorf("%s: cell (%s, %s) = value %v, flags %#x, recomputed %+v; oracle %+v",
+					name, s.Path(), tn.Path(), r.values[idx], r.flags[idx], got, want)
 				return
 			}
 		}
+	}
+	if want := o.qom(r.Source, r.Target); r.Root != want {
+		t.Errorf("%s: root %+v, oracle %+v", name, r.Root, want)
 	}
 }
 

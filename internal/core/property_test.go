@@ -180,7 +180,7 @@ func TestTypeTableMatchesMatchProperties(t *testing.T) {
 		})
 	}
 	in := Intern(nodes)
-	b := new(matchBuffers)
+	b := new(kernelBuffers)
 	k := newKernelFrom(in, in, b)
 	if !k.fill(NewMatcher(nil), b, 1) {
 		t.Fatal("fill stopped without a Done signal")

@@ -70,7 +70,7 @@ func alignSide(oldNodes []*xmltree.Node, oldKids [][]int32, newNodes []*xmltree.
 		clean[p.n] = on.Label == nn.Label &&
 			on.Props.Norm() == nn.Props.Norm() &&
 			len(oldKids[p.o]) == len(newKids[p.n])
-		k := min2(len(oldKids[p.o]), len(newKids[p.n]))
+		k := min(len(oldKids[p.o]), len(newKids[p.n]))
 		for x := 0; x < k; x++ {
 			stack = append(stack, pair{oldKids[p.o][x], newKids[p.n][x]})
 		}
@@ -97,8 +97,8 @@ func (r *Result) complete() bool {
 	if r.buf == nil {
 		return false
 	}
-	for _, d := range r.done {
-		if !d {
+	for _, f := range r.flags {
+		if f&flagDone == 0 {
 			return false
 		}
 	}
@@ -117,23 +117,20 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 		return r, RematchStats{RescoredCells: int64(len(r.srcNodes) * len(r.tgtNodes)),
 			DirtyNodes: len(r.tgtNodes), Full: true}
 	}
-	r := newResult(prev.Source, newTgt)
-	w := m.Weights.Normalized()
+	r := m.newResult(prev.Source, newTgt)
 	sp := m.Trace.StartSpan(obs.PhaseRematch)
 	oldIdx, clean := alignSide(prev.tgtNodes, prev.tgtKids, r.tgtNodes, r.tgtKids)
 
 	n := len(r.srcNodes)
 	mNew, mOld := len(r.tgtNodes), len(prev.tgtNodes)
 	// Coalesce clean columns into runs of contiguous (new, old) index pairs,
-	// then copy row-major: one memmove per run per row instead of a strided
-	// cell-by-cell walk down each column, which on large tables costs more
-	// than the fill it replaces. doneRow is the per-row done template —
-	// true over clean columns, false over dirty ones (computeCols sets
-	// those as it fills them).
+	// then copy both planes row-major: one memmove per run per row instead
+	// of a strided cell-by-cell walk down each column, which on large
+	// tables costs more than the fill it replaces. Dirty columns keep the
+	// zero flag byte acquireBuffers left them until computeCols fills them.
 	type copyRun struct{ newStart, oldStart, len int }
 	var runs []copyRun
 	dirty := make([]int32, 0, mNew)
-	doneRow := make([]bool, mNew)
 	for j := 0; j < mNew; {
 		if !clean[j] {
 			dirty = append(dirty, int32(j))
@@ -144,26 +141,25 @@ func (m *Matcher) RematchTarget(prev *Result, newTgt *xmltree.Node) (*Result, Re
 		for j++; j < mNew && clean[j] && int(oldIdx[j]) == ostart+(j-start); j++ {
 		}
 		runs = append(runs, copyRun{start, ostart, j - start})
-		for x := start; x < j; x++ {
-			doneRow[x] = true
-		}
 	}
 	for i := 0; i < n; i++ {
 		nb, ob := i*mNew, i*mOld
 		for _, run := range runs {
-			copy(r.table[nb+run.newStart:nb+run.newStart+run.len],
-				prev.table[ob+run.oldStart:ob+run.oldStart+run.len])
+			dst, src := nb+run.newStart, ob+run.oldStart
+			copy(r.values[dst:dst+run.len], prev.values[src:src+run.len])
+			copy(r.flags[dst:dst+run.len], prev.flags[src:src+run.len])
 		}
-		copy(r.done[nb:nb+mNew], doneRow)
+	}
+	if clean[0] { // the whole target is clean: cell (0, 0) is copied
+		r.Root = prev.Root
 	}
 	// A typical delta dirties a handful of columns: buildKernel then skips
 	// the kernel, and those cells are scored through the name matcher.
 	m.buildKernel(r, int64(n)*int64(len(dirty)), 1)
-	tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
+	tw := &treeWorker{m: m, names: m.Names, r: r}
 	for i := n - 1; i >= 0; i-- {
 		tw.computeCols(i, dirty)
 	}
-	r.Root = r.table[0]
 
 	stats := RematchStats{
 		CopiedCells:   int64(n) * int64(mNew-len(dirty)),
@@ -188,8 +184,7 @@ func (m *Matcher) RematchSource(prev *Result, newSrc *xmltree.Node) (*Result, Re
 		return r, RematchStats{RescoredCells: int64(len(r.srcNodes) * len(r.tgtNodes)),
 			DirtyNodes: len(r.srcNodes), Full: true}
 	}
-	r := newResult(newSrc, prev.Target)
-	w := m.Weights.Normalized()
+	r := m.newResult(newSrc, prev.Target)
 	sp := m.Trace.StartSpan(obs.PhaseRematch)
 	oldIdx, clean := alignSide(prev.srcNodes, prev.srcKids, r.srcNodes, r.srcKids)
 
@@ -201,21 +196,19 @@ func (m *Matcher) RematchSource(prev *Result, newSrc *xmltree.Node) (*Result, Re
 		}
 	}
 	m.buildKernel(r, int64(dirtyRows)*int64(mcols), 1)
-	trueRow := make([]bool, mcols)
-	for j := range trueRow {
-		trueRow[j] = true
-	}
-	tw := &treeWorker{m: m, names: m.Names, r: r, w: w}
+	tw := &treeWorker{m: m, names: m.Names, r: r}
 	for i := n - 1; i >= 0; i-- {
 		if clean[i] {
 			oi := int(oldIdx[i])
-			copy(r.table[i*mcols:(i+1)*mcols], prev.table[oi*mcols:(oi+1)*mcols])
-			copy(r.done[i*mcols:(i+1)*mcols], trueRow)
+			copy(r.values[i*mcols:(i+1)*mcols], prev.values[oi*mcols:(oi+1)*mcols])
+			copy(r.flags[i*mcols:(i+1)*mcols], prev.flags[oi*mcols:(oi+1)*mcols])
 		} else {
 			tw.computeRow(i)
 		}
 	}
-	r.Root = r.table[0]
+	if clean[0] { // the whole source is clean: row 0 is copied
+		r.Root = prev.Root
+	}
 
 	stats := RematchStats{
 		CopiedCells:   int64(n-dirtyRows) * int64(mcols),

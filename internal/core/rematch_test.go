@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"qmatch/internal/dataset"
+	"qmatch/internal/lingo"
 	"qmatch/internal/obs"
 	"qmatch/internal/xmltree"
 )
@@ -74,13 +76,8 @@ func TestRematchTargetEquivalence(t *testing.T) {
 				m.Trace = tr
 				got, stats := m.RematchTarget(prev, newTgt)
 
-				if !reflect.DeepEqual(got.table, want.table) {
-					t.Fatal("rematched table differs from full re-match")
-				}
-				if got.Root != want.Root {
-					t.Fatalf("rematched root %+v, full root %+v", got.Root, want.Root)
-				}
-				total := int64(len(want.table))
+				checkSameTable(t, "rematched table", got, want)
+				total := int64(len(want.values))
 				if stats.Full || stats.RescoredCells >= total || stats.CopiedCells == 0 {
 					t.Fatalf("no incremental savings: %+v over %d cells", stats, total)
 				}
@@ -95,6 +92,31 @@ func TestRematchTargetEquivalence(t *testing.T) {
 					t.Fatalf("span rescored %d of %d cells — not incremental", span.Cells, total)
 				}
 			})
+		}
+	}
+}
+
+// checkSameTable demands that got equal want, the full match of the same
+// pair: both planes, Root, and every cell's full QoM recomputed through
+// the cell function. A rematched Result usually has no kernel, so the
+// recomputation takes both Results' outcomes from one fresh NameMatcher.
+func checkSameTable(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.values, want.values) {
+		t.Fatalf("%s: value plane differs from full re-match", name)
+	}
+	if !reflect.DeepEqual(got.flags, want.flags) {
+		t.Fatalf("%s: flag plane differs from full re-match", name)
+	}
+	if got.Root != want.Root {
+		t.Fatalf("%s: root %+v, full root %+v", name, got.Root, want.Root)
+	}
+	names := lingo.NewNameMatcher(lingo.Default())
+	for idx := range want.values {
+		g, gok := got.qomAt(idx, names)
+		w, wok := want.qomAt(idx, names)
+		if !gok || !wok || g != w {
+			t.Fatalf("%s: cell %d recomputes to %+v (%v), full re-match %+v (%v)", name, idx, g, gok, w, wok)
 		}
 	}
 }
@@ -126,10 +148,8 @@ func TestRematchSourceEquivalence(t *testing.T) {
 			prev := m.Tree(pair.Source, pair.Target)
 			got, stats := m.RematchSource(prev, newSrc)
 
-			if !reflect.DeepEqual(got.table, want.table) {
-				t.Fatal("rematched table differs from full re-match")
-			}
-			if stats.Full || stats.RescoredCells >= int64(len(want.table)) || stats.CopiedCells == 0 {
+			checkSameTable(t, "rematched table", got, want)
+			if stats.Full || stats.RescoredCells >= int64(len(want.values)) || stats.CopiedCells == 0 {
 				t.Fatalf("no incremental savings: %+v", stats)
 			}
 		})
@@ -151,9 +171,7 @@ func TestRematchReleasedPrevFallsBack(t *testing.T) {
 		t.Fatalf("released prev should force a full re-match, got %+v", stats)
 	}
 	want := NewMatcher(nil).Tree(pair.Source, newTgt)
-	if !reflect.DeepEqual(got.table, want.table) {
-		t.Fatal("fallback table differs from full re-match")
-	}
+	checkSameTable(t, "fallback table", got, want)
 }
 
 // Chained evolution: rematch output seeds the next rematch, staying equal
@@ -168,12 +186,50 @@ func TestRematchChain(t *testing.T) {
 		evo.mutate(t, next)
 		got, stats := m.RematchTarget(prev, next)
 		want := NewMatcher(nil).Tree(pair.Source, next)
-		if !reflect.DeepEqual(got.table, want.table) {
-			t.Fatalf("step %d (%s): chained rematch diverges", step, evo.name)
-		}
+		checkSameTable(t, fmt.Sprintf("step %d (%s): chained rematch", step, evo.name), got, want)
 		if stats.Full {
 			t.Fatalf("step %d (%s): chain degraded to full re-match", step, evo.name)
 		}
 		prev, tgt = got, next
 	}
+}
+
+// Park returns the kernel and keeps the planes, trimmed to the table's own
+// cells when the fill drew a larger pooled slab; the parked table still
+// selects and seeds a re-match, and its cell accessors report not-found.
+func TestParkKeepsOnlyTheTable(t *testing.T) {
+	pair := dataset.POPair()
+	m := NewMatcher(nil)
+	m.Tree(wide("L", 80), wide("R", 80)).Release()
+	r := m.Tree(pair.Source, pair.Target)
+	pooled := cap(r.values) > len(r.values)
+	values, flags := append([]float64(nil), r.values...), append([]uint8(nil), r.flags...)
+	h := NewHybrid(nil)
+	want := h.Select(r)
+
+	r.Park()
+	if r.kern != nil || r.kbuf != nil {
+		t.Fatal("parked table kept its kernel")
+	}
+	if cap(r.values) != len(r.values) || cap(r.flags) != len(r.flags) {
+		t.Fatalf("parked planes hold %d and %d cells of capacity for %d cells (pooled slab: %v)",
+			cap(r.values), cap(r.flags), len(r.values), pooled)
+	}
+	if !reflect.DeepEqual(r.values, values) || !reflect.DeepEqual(r.flags, flags) {
+		t.Fatal("parking changed the planes")
+	}
+	if got := h.Select(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parked table selects %v, want %v", got, want)
+	}
+	if _, ok := r.Pair(pair.Source, pair.Target); ok || r.Pairs() != nil || r.TopPairs(3) != nil {
+		t.Fatal("parked table answered a cell accessor without its kernel")
+	}
+
+	newTgt := pair.Target.Clone()
+	newTgt.Nodes()[2].Label = "Altered"
+	got, stats := m.RematchTarget(r, newTgt)
+	if stats.Full {
+		t.Fatal("parked table did not seed an incremental re-match")
+	}
+	checkSameTable(t, "rematch from a parked table", got, NewMatcher(nil).Tree(pair.Source, newTgt))
 }

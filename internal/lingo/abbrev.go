@@ -30,15 +30,16 @@ func IsAbbreviationOf(short, long string) bool {
 // lowercase. The matcher's normal forms and tokens are: Tokenize lowercases
 // them rune by rune with unicode.ToLower, which is idempotent, so
 // strings.ToLower would return them unchanged.
+//
+// The length and first-letter guards run before the irregular table's
+// probe: every entry passes them (TestIrregularPassesGuards), and they
+// reject most token pairs for the price of two compares.
 func isAbbreviationLower(s, l string) bool {
+	if len(s) < 2 || len(s) >= len(l) || s[0] != l[0] {
+		return false
+	}
 	if irregular[s] == l {
 		return true
-	}
-	if len(s) < 2 || len(s) >= len(l) {
-		return false
-	}
-	if s[0] != l[0] {
-		return false
 	}
 	if !IsSubsequence(s, l) && !hasSkeletonPrefix(l, s) {
 		return false

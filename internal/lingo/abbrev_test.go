@@ -58,12 +58,29 @@ func TestIsAbbreviationOf(t *testing.T) {
 		{"q", "quantity", false},   // too short
 		{"xyz", "quantity", false}, // first letter differs
 		{"qy", "quantity", true},   // subsequence, covers 1/4 < 1/3? len(qy)=2, 3*2=6 < 8 → prefix? no → false
+		{"qty", "", false},         // short must be strictly shorter than long
+		{"", "", false},
 	}
 	// fix expectation for "qy": 3*2=6 < len("quantity")=8, not prefix → false
-	cases[len(cases)-1].want = false
+	cases[len(cases)-3].want = false
 	for _, c := range cases {
 		if got := IsAbbreviationOf(c.short, c.long); got != c.want {
 			t.Errorf("IsAbbreviationOf(%q,%q) = %v, want %v", c.short, c.long, got, c.want)
+		}
+	}
+}
+
+// isAbbreviationLower runs its length and first-letter guards before it
+// probes the irregular table, so an entry that failed them would never be
+// found. Every entry must be a lowercase short form of 2+ bytes, strictly
+// shorter than its expansion and sharing its first letter.
+func TestIrregularPassesGuards(t *testing.T) {
+	for s, l := range irregular {
+		if len(s) < 2 || len(s) >= len(l) || s[0] != l[0] || s != strings.ToLower(s) || l != strings.ToLower(l) {
+			t.Errorf("irregular[%q] = %q fails the guards before the table probe", s, l)
+		}
+		if !isAbbreviationLower(s, l) {
+			t.Errorf("isAbbreviationLower(%q, %q) = false for an irregular entry", s, l)
 		}
 	}
 }

@@ -83,7 +83,9 @@ type Registry struct {
 	// by id pair. The reports carry their pair-table state (Engines built
 	// WithRematchState), so a Put replacing one side refreshes them
 	// incrementally via Engine.Rematch instead of recomputing from scratch.
-	matches map[matchKey]*qmatch.Report
+	// cells is the total pair-table cells of the cached matches.
+	matches map[matchKey]cachedMatch
+	cells   int64
 	// quarantined lists the blobs Open moved aside; see Quarantined.
 	quarantined []string
 }
@@ -91,10 +93,21 @@ type Registry struct {
 // matchKey identifies one cached pair match by registry ids.
 type matchKey struct{ src, tgt string }
 
-// maxCachedMatches bounds the reports the registry retains for incremental
-// refresh — each pins a pair table of O(srcSize·tgtSize) memory. Beyond the
-// bound matches are still served, just not cached.
-const maxCachedMatches = 512
+// cachedMatch is one cached report and the cells of its pair table.
+type cachedMatch struct {
+	rep   *qmatch.Report
+	cells int64
+}
+
+// The registry retains reports for incremental refresh while both bounds
+// hold: at most maxCachedMatches reports, and at most maxCachedCells
+// pair-table cells in all. Each report pins its table, about 9 bytes per
+// cell, so the cell budget caps parked tables at about 288 MiB. Beyond
+// either bound matches are still served, just not cached.
+const (
+	maxCachedMatches = 512
+	maxCachedCells   = 1 << 25
+)
 
 // Open returns a registry backed by dir, creating the directory if needed
 // and loading every artifact blob (*.qma) already present — a restarted
@@ -111,7 +124,7 @@ func Open(dir string) (*Registry, error) {
 	r := &Registry{
 		dir:     dir,
 		schemas: make(map[string]*qmatch.CompiledSchema),
-		matches: make(map[matchKey]*qmatch.Report),
+		matches: make(map[matchKey]cachedMatch),
 	}
 	if dir == "" {
 		return r, nil
@@ -229,11 +242,29 @@ func (r *Registry) Put(id string, cs *qmatch.CompiledSchema) error {
 // dropMatchesLocked invalidates every cached match involving id. Callers
 // hold the write lock.
 func (r *Registry) dropMatchesLocked(id string) {
-	for k := range r.matches {
+	for k, c := range r.matches {
 		if k.src == id || k.tgt == id {
 			delete(r.matches, k)
+			r.cells -= c.cells
 		}
 	}
+}
+
+// cacheLocked caches rep, the match of src against tgt, under k when both
+// cache bounds still hold with it; a report k already holds is replaced.
+// Callers hold the write lock.
+func (r *Registry) cacheLocked(k matchKey, rep *qmatch.Report, src, tgt *qmatch.CompiledSchema) {
+	cells := int64(src.Size()) * int64(tgt.Size())
+	old, had := r.matches[k]
+	n, total := len(r.matches), r.cells+cells
+	if had {
+		n, total = n-1, total-old.cells
+	}
+	if n >= maxCachedMatches || total > maxCachedCells {
+		return
+	}
+	r.matches[k] = cachedMatch{rep, cells}
+	r.cells = total
 }
 
 // Get returns the compiled schema registered under id, or ErrNotFound.
@@ -274,7 +305,7 @@ func (r *Registry) Match(ctx context.Context, e *qmatch.Engine, srcID, tgtID str
 	r.mu.RLock()
 	src, sok := r.schemas[srcID]
 	tgt, tok := r.schemas[tgtID]
-	rep, hit := r.matches[matchKey{srcID, tgtID}]
+	cached, hit := r.matches[matchKey{srcID, tgtID}]
 	r.mu.RUnlock()
 	if !sok {
 		return nil, false, fmt.Errorf("%w: %s", ErrNotFound, srcID)
@@ -283,7 +314,7 @@ func (r *Registry) Match(ctx context.Context, e *qmatch.Engine, srcID, tgtID str
 		return nil, false, fmt.Errorf("%w: %s", ErrNotFound, tgtID)
 	}
 	if hit {
-		return rep, true, nil
+		return cached.rep, true, nil
 	}
 	rep, err := e.MatchCompiledContext(ctx, src, tgt)
 	if err != nil {
@@ -292,8 +323,8 @@ func (r *Registry) Match(ctx context.Context, e *qmatch.Engine, srcID, tgtID str
 	r.mu.Lock()
 	// Cache only while both ids still name the versions we matched — a
 	// racing Put must not be shadowed by a stale report.
-	if len(r.matches) < maxCachedMatches && r.schemas[srcID] == src && r.schemas[tgtID] == tgt {
-		r.matches[matchKey{srcID, tgtID}] = rep
+	if r.schemas[srcID] == src && r.schemas[tgtID] == tgt {
+		r.cacheLocked(matchKey{srcID, tgtID}, rep, src, tgt)
 	}
 	r.mu.Unlock()
 	return rep, false, nil
@@ -324,7 +355,7 @@ func (r *Registry) PutRematch(id string, cs *qmatch.CompiledSchema, e *qmatch.En
 	r.mu.RLock()
 	old := r.schemas[id]
 	var seeds []seed
-	for k, rep := range r.matches {
+	for k, c := range r.matches {
 		if k.src != id && k.tgt != id {
 			continue
 		}
@@ -332,7 +363,7 @@ func (r *Registry) PutRematch(id string, cs *qmatch.CompiledSchema, e *qmatch.En
 		if k.src == id {
 			other = r.schemas[k.tgt]
 		}
-		seeds = append(seeds, seed{k, rep, other})
+		seeds = append(seeds, seed{k, c.rep, other})
 	}
 	r.mu.RUnlock()
 
@@ -360,11 +391,11 @@ func (r *Registry) PutRematch(id string, cs *qmatch.CompiledSchema, e *qmatch.En
 			continue
 		}
 		r.mu.Lock()
-		if len(r.matches) < maxCachedMatches &&
-			r.schemas[id] == cs && r.schemas[sd.key.src] != nil && r.schemas[sd.key.tgt] != nil &&
-			(sd.key.src == id || r.schemas[sd.key.src] == sd.other) &&
-			(sd.key.tgt == id || r.schemas[sd.key.tgt] == sd.other) {
-			r.matches[sd.key] = rep
+		src, tgt := r.schemas[sd.key.src], r.schemas[sd.key.tgt]
+		if r.schemas[id] == cs && src != nil && tgt != nil &&
+			(sd.key.src == id || src == sd.other) &&
+			(sd.key.tgt == id || tgt == sd.other) {
+			r.cacheLocked(sd.key, rep, src, tgt)
 		}
 		r.mu.Unlock()
 		out = append(out, RefreshStat{Source: sd.key.src, Target: sd.key.tgt, Rematch: *rep.Rematch})

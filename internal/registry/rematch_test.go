@@ -8,6 +8,7 @@ import (
 
 	"qmatch"
 	"qmatch/internal/dataset"
+	"qmatch/internal/xmltree"
 )
 
 func rematchEngine(t *testing.T) *qmatch.Engine {
@@ -63,6 +64,72 @@ func TestMatchCache(t *testing.T) {
 	}
 	if reg.CachedMatches() != 0 {
 		t.Fatalf("Delete left %d cached matches", reg.CachedMatches())
+	}
+}
+
+// The cache holds at most maxCachedCells pair-table cells. A match that
+// would pass the budget is served but not cached, on Match and on a
+// PutRematch refresh alike, and dropping an entry gives its cells back.
+func TestMatchCacheCellBudget(t *testing.T) {
+	reg, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := rematchEngine(t)
+	src, tgt := compileT(t, dataset.PO1()), compileT(t, dataset.PO2())
+	if err := reg.Put("a", src); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Put("b", tgt); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cells := int64(src.Size()) * int64(tgt.Size())
+
+	// Stand-in for other parked tables: the budget is one cell short.
+	reg.cells = maxCachedCells - cells + 1
+	rep, cached, err := reg.Match(ctx, eng, "a", "b")
+	if err != nil || cached || rep == nil {
+		t.Fatalf("over-budget match: rep=%v cached=%v err=%v", rep != nil, cached, err)
+	}
+	if reg.CachedMatches() != 0 || reg.cells != maxCachedCells-cells+1 {
+		t.Fatalf("over-budget match cached: %d matches, %d cells", reg.CachedMatches(), reg.cells)
+	}
+
+	// Exactly at the budget it is cached.
+	reg.cells = maxCachedCells - cells
+	if _, _, err := reg.Match(ctx, eng, "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if reg.CachedMatches() != 1 || reg.cells != maxCachedCells {
+		t.Fatalf("at-budget match: %d matches, %d cells, want 1 and %d", reg.CachedMatches(), reg.cells, int64(maxCachedCells))
+	}
+
+	// A refresh that grows the table past the budget is reported but not
+	// cached; the stale entry's cells are dropped with it.
+	evolved := dataset.PO2()
+	evolved.Nodes()[1].Add(xmltree.New("ArchiveFlag", xmltree.Elem("boolean")))
+	refreshed, err := reg.PutRematch("b", compileT(t, evolved), eng)
+	if err != nil || len(refreshed) != 1 {
+		t.Fatalf("refresh: %+v, %v", refreshed, err)
+	}
+	if reg.CachedMatches() != 0 || reg.cells != maxCachedCells-cells {
+		t.Fatalf("over-budget refresh cached: %d matches, %d cells", reg.CachedMatches(), reg.cells)
+	}
+
+	// Put and Delete give a cached entry's cells back.
+	reg.cells = 0
+	if _, _, err := reg.Match(ctx, eng, "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if reg.cells == 0 {
+		t.Fatal("cached match counted no cells")
+	}
+	if err := reg.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	if reg.CachedMatches() != 0 || reg.cells != 0 {
+		t.Fatalf("Delete left %d matches, %d cells", reg.CachedMatches(), reg.cells)
 	}
 }
 

@@ -46,9 +46,9 @@ type rematchState struct {
 // WithRematchState makes the Engine's compiled-path matches (MatchCompiled
 // and Rematch itself) retain their pair table on the returned Report, so a
 // later Engine.Rematch against an evolved schema version can reuse it.
-// The retained table pins O(sourceSize·targetSize) memory for the Report's
-// lifetime — opt in only where re-matching is expected (the registry's
-// schema store does).
+// The retained table pins about 9 bytes per (source, target) element pair
+// for the Report's lifetime — opt in only where re-matching is expected
+// (the registry's schema store does).
 func WithRematchState() Option {
 	return func(c *config) { c.rematchState = true }
 }
@@ -57,10 +57,12 @@ func WithRematchState() Option {
 // selected from. On an Engine built WithRematchState it parks the table on
 // the Report as the seed of the next Rematch, provided src and tgt name
 // the compiled sides; callers pass nil for them on the parse path and
-// after a cancelled match, whose table is partial. Every other table goes
-// back to the arena pool; table is nil for the baselines.
+// after a cancelled match, whose table is partial. Parking keeps the
+// table's planes and returns its kernel to the arena pool. Every other
+// table goes back to the pool whole; table is nil for the baselines.
 func (e *Engine) settle(rep *Report, table *core.Result, src, tgt *CompiledSchema) {
 	if table != nil && src != nil && e.cfg.rematchState {
+		table.Park()
 		rep.state = &rematchState{engine: e, result: table, src: src, tgt: tgt}
 		return
 	}

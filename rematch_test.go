@@ -2,11 +2,13 @@ package qmatch_test
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"qmatch"
 	"qmatch/internal/dataset"
+	"qmatch/internal/synth"
 	"qmatch/internal/xmltree"
 )
 
@@ -172,5 +174,59 @@ func TestEngineRematchErrors(t *testing.T) {
 	}
 	if _, err := weighted.Rematch(prev, tgt, other); err == nil || !strings.Contains(err.Error(), "another Engine") {
 		t.Fatalf("report from another Engine: %v", err)
+	}
+}
+
+// A report parked as rematch state keeps only what Rematch reads: its pair
+// table's value and flag planes (9 bytes per cell) and the per-side lists.
+// Matched on a WithRematchState Engine and kept, a few dozen compiled
+// synthetic pairs of 100–200 elements must pin at most 16 bytes of live
+// heap per cell, which leaves room for the lists and the reports but not
+// for a kernel plane or a wider cell. Two collections before each reading
+// empty the sync.Pools, so the delta counts only the reports and their
+// parked state.
+func TestParkedBytesPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates heap objects")
+	}
+	eng, err := qmatch.NewEngine(qmatch.WithRematchState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 32
+	var srcs, tgts []*qmatch.CompiledSchema
+	var cells int64
+	for i := 0; i < pairs; i++ {
+		root := synth.Generate(synth.Config{Seed: int64(300 + i), Elements: 100 + 100*i/pairs, MaxDepth: 5, MaxChildren: 8})
+		variant, _ := synth.Derive(root, synth.Uniform(int64(400+i), 0.3))
+		src, err := qmatch.Compile(qmatch.FromTree(root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt, err := qmatch.Compile(qmatch.FromTree(variant))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs, tgts = append(srcs, src), append(tgts, tgt)
+		cells += int64(src.Size()) * int64(tgt.Size())
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	reports := make([]*qmatch.Report, pairs)
+	for i := range reports {
+		reports[i] = eng.MatchCompiled(srcs[i], tgts[i])
+	}
+	after := heap()
+	runtime.KeepAlive(reports)
+	perCell := (float64(after) - float64(before)) / float64(cells)
+	t.Logf("%d pairs, %d cells: %.1f bytes per cell parked", pairs, cells, perCell)
+	if perCell > 16 {
+		t.Errorf("parked reports pin %.1f bytes per cell, want at most 16", perCell)
 	}
 }
