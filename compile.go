@@ -188,14 +188,24 @@ func (e *Engine) MatchCompiledContext(ctx context.Context, src, tgt *CompiledSch
 // Index values refer to positions in the input corpus — so with k >=
 // len(corpus) RankCompiled reproduces the exhaustive Rank order.
 func (e *Engine) RankCompiled(ctx context.Context, query *CompiledSchema, corpus []*CompiledSchema, k int) ([]Ranked, error) {
-	start := time.Now()
-	keep := PrefilterTopK(query, corpus, k)
-	if e.collect {
-		e.em.phaseNs[obs.PhasePrefilter].Add(time.Since(start).Nanoseconds())
+	var keep []int
+	if k > 0 && k < len(corpus) {
+		start := time.Now()
+		keep = PrefilterTopK(query, corpus, k)
+		if e.collect {
+			e.em.phaseNs[obs.PhasePrefilter].Add(time.Since(start).Nanoseconds())
+		}
+		// Rank the survivors in ascending corpus order so score ties
+		// break by original index, exactly as the exhaustive Rank breaks
+		// them.
+		sort.Ints(keep)
+	} else {
+		// Every candidate survives: no overlap needs computing.
+		keep = make([]int, len(corpus))
+		for i := range keep {
+			keep[i] = i
+		}
 	}
-	// Rank the survivors in ascending corpus order so score ties break
-	// by original index, exactly as the exhaustive Rank breaks them.
-	sort.Ints(keep)
 	sub := make([]*Schema, len(keep))
 	compiled := make([]*CompiledSchema, 0, len(keep)+1)
 	compiled = append(compiled, query)

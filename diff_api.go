@@ -1,9 +1,6 @@
 package qmatch
 
-import (
-	"qmatch/internal/diff"
-	"qmatch/internal/lingo"
-)
+import "qmatch/internal/diff"
 
 // DiffKind classifies one element's evolution between two schema versions.
 type DiffKind string
@@ -45,11 +42,7 @@ func Diff(oldSchema, newSchema *Schema, opts ...Option) *DiffReport {
 	for _, o := range opts {
 		o(cfg)
 	}
-	var th *lingo.Thesaurus
-	if cfg.custom != nil || cfg.noBuiltin {
-		th = cfg.thesaurus()
-	}
-	inner := diff.Schemas(oldSchema.root, newSchema.root, th)
+	inner := diff.Schemas(oldSchema.root, newSchema.root, cfg.thesaurus())
 	out := &DiffReport{inner: inner}
 	for _, e := range inner.Entries {
 		out.Entries = append(out.Entries, DiffEntry{

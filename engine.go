@@ -22,10 +22,12 @@ import (
 
 // Engine is a reusable, goroutine-safe matching handle. It is compiled
 // once from Options — the algorithm choice, weights and thresholds are
-// frozen, the thesaurus merge is performed a single time and shared
-// read-only, and the linguistic name-similarity caches live in a pool that
-// hands each concurrent worker its own warm instance. Every method may be
-// called from any number of goroutines simultaneously.
+// frozen, the thesaurus is resolved a single time and shared read-only
+// (Engines without a custom thesaurus share the built-in one; a custom one
+// is merged into a private copy), and the linguistic name-similarity
+// caches live in a pool that hands each concurrent worker its own warm
+// instance. Every method may be called from any number of goroutines
+// simultaneously.
 //
 // Construction is where configuration errors surface: unknown algorithms,
 // negative or all-zero weights, out-of-range thresholds and negative
@@ -78,9 +80,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 }
 
 // With returns an Engine configured like e with opts applied on top, in
-// the manner of slog.Logger.With. The new Engine shares e's merged
-// thesaurus, its name-matcher pool and its metrics registry: deriving one
-// merges nothing, its first match starts warm, and its observed matches
+// the manner of slog.Logger.With. The new Engine shares e's thesaurus,
+// its name-matcher pool and its metrics registry: deriving one merges
+// nothing, its first match starts warm, and its observed matches
 // count in e's metrics. Options that would change the thesaurus
 // (WithThesaurus, WithoutBuiltinThesaurus) are rejected; any other
 // invalid option fails exactly as it fails NewEngine.
@@ -89,9 +91,9 @@ func (e *Engine) With(opts ...Option) (*Engine, error) {
 }
 
 // newEngine is the one Engine constructor: it applies opts over cfg,
-// validates the result and compiles it. A nil base merges a fresh
-// thesaurus and starts an empty name-matcher pool and metrics registry;
-// otherwise the Engine shares base's.
+// validates the result and compiles it. A nil base resolves the thesaurus
+// (config.thesaurus) and starts an empty name-matcher pool and metrics
+// registry; otherwise the Engine shares base's.
 func newEngine(cfg config, base *Engine, opts []Option) (*Engine, error) {
 	for _, o := range opts {
 		o(&cfg)

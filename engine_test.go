@@ -11,6 +11,7 @@ import (
 
 	"qmatch"
 	"qmatch/internal/dataset"
+	"qmatch/internal/lingo"
 	"qmatch/internal/synth"
 )
 
@@ -390,5 +391,55 @@ func TestLargeMatchAllocsBounded(t *testing.T) {
 	}
 	if least > 2<<20 {
 		t.Errorf("80x1000 Engine.Match allocates %d KiB, regression ceiling is 2048 KiB", least>>10)
+	}
+}
+
+// Engines with the built-in thesaurus and no custom one share
+// lingo.Default() instead of merging a copy of its edges each: building
+// one allocates 9 objects, where a per-Engine merge of the built-in edges
+// allocated 626.
+func TestNewEngineAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs alloc counts")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := qmatch.NewEngine(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Errorf("NewEngine = %.0f allocs/run, regression ceiling is 100", allocs)
+	}
+}
+
+// A custom thesaurus is merged into a fresh copy, never into the shared
+// built-in one, and its hypernym specifics are thesaurus terms: "Trucks"
+// reaches "Vehicle" only through the singular "truck", the specific end of
+// the custom edge.
+func TestWithThesaurusMergesIntoCopy(t *testing.T) {
+	size := lingo.Default().Size()
+	th := qmatch.NewThesaurus()
+	th.AddHypernym("vehicle", "truck")
+	eng, err := qmatch.NewEngine(qmatch.WithThesaurus(th))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lingo.Default().Size(); got != size {
+		t.Fatalf("building a WithThesaurus Engine changed the built-in thesaurus: %d edges, want %d", got, size)
+	}
+	leaf := func(name string) *qmatch.Schema {
+		s, err := qmatch.ParseSchemaString(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+	  <xs:element name="` + name + `" type="xs:string"/></xs:schema>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	src, tgt := leaf("Trucks"), leaf("Vehicle")
+	if got := eng.ExplainTop(src, tgt, 1); !strings.Contains(got, "label      0.850 (relaxed)") {
+		t.Errorf("Trucks vs Vehicle with a custom vehicle→truck hypernym:\n%s\nwant a relaxed label match", got)
+	}
+	if r := qmatch.Match(src, tgt); len(r.Correspondences) != 0 {
+		t.Errorf("Trucks vs Vehicle matched without the custom thesaurus: %v", r.Correspondences)
 	}
 }

@@ -11,7 +11,8 @@ import "sync"
 // three things up front:
 //
 //   - the dense token-similarity matrix, so token aggregation is pure array
-//     arithmetic;
+//     arithmetic. Its string-similarity step takes each token pair's
+//     trigram overlap from an index over the target tokens' grams;
 //   - per-label coverage bitsets: for each label, the other side's tokens
 //     with a nonzero similarity to one of its tokens. They bound token
 //     aggregation from above, so the scorer aggregates only the pairs that
@@ -52,7 +53,12 @@ type KernelScorer struct {
 	srcWords, tgtWords int
 	tokCov             []uint64
 
-	grams gramIndex
+	// grams indexes the target labels' trigrams, tokGrams the target
+	// tokens'; tokCommon is the token matrix's overlap row.
+	grams, tokGrams gramIndex
+	tokCommon       []int32
+	// gramKeys maps a gram hash to its key id in both indexes.
+	gramKeys map[uint64]int32
 
 	// loc maps the matcher's global token ids to matrix-local ones (-1
 	// when absent); every entry is -1 between builds. srcGlob/tgtGlob map
@@ -65,11 +71,11 @@ var scorerPool = sync.Pool{New: func() any { return new(KernelScorer) }}
 
 // NewKernelScorer builds a scorer over the two label vocabularies. Cost is
 // O(Σ|label|) feature building and indexing plus O(|srcTokens|·|tgtTokens|)
-// token-pair scoring — the same unique-pair work the token memo would do
-// across the fill, minus every map probe. The scorer's buffers come from
-// a pool; Release returns them. done is checked between rows of the token
-// matrix: once it is closed, NewKernelScorer stops and returns nil. A nil
-// done never stops it.
+// token-pair scoring — the unique-pair work the token memo would do across
+// the fill, minus every map probe and Dice merge. The scorer's buffers come
+// from a pool; Release returns them. done is checked between rows of the
+// token matrix: once it is closed, NewKernelScorer stops and returns nil. A
+// nil done never stops it.
 func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan struct{}) *KernelScorer {
 	ks := scorerPool.Get().(*KernelScorer)
 	ks.m = m
@@ -96,13 +102,21 @@ func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan
 
 	// The token matrix, recording which token pairs score above zero: row
 	// bitsets over the target tokens for each source token, then column
-	// bitsets over the source tokens for each target token.
+	// bitsets over the source tokens for each target token. Each pair runs
+	// tokenSimUncached's front steps, then takes its string similarity
+	// from the overlap row as ScoreRow does for labels.
 	ks.srcWords, ks.tgtWords = (nt+63)/64, (ns+63)/64
 	rowCov, colCov := ns*ks.srcWords, nt*ks.tgtWords
 	ks.tokCov = resize(ks.tokCov, rowCov+colCov)
 	clear(ks.tokCov)
 	ks.sims = resize(ks.sims, ns*nt)
 	ks.exact = resize(ks.exact, ns*nt)
+	if ks.gramKeys == nil {
+		ks.gramKeys = make(map[uint64]int32)
+	}
+	clear(ks.gramKeys)
+	ks.tokGrams.build(ks.gramKeys, nt, func(j int) []uint64 { return m.tokFeats[ks.tgtGlob[j]].grams })
+	ks.tokCommon = resize(ks.tokCommon, nt)
 	for i, ga := range ks.srcGlob {
 		select {
 		case <-done:
@@ -110,9 +124,18 @@ func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan
 			return nil
 		default:
 		}
+		fa := &m.tokFeats[ga]
+		ks.tokGrams.overlap(ks.gramKeys, fa.grams, ks.tokCommon)
 		row := i * nt
 		for j, gb := range ks.tgtGlob {
-			ts := m.tokenSimUncached(ga, gb)
+			ts, ok := m.tokenFront(ga, gb)
+			if !ok {
+				fb := &m.tokFeats[gb]
+				tg := 2 * float64(ks.tokCommon[j]) / float64(len(fa.grams)+len(fb.grams))
+				if s, ok := simFromDice(fa.runes, fb.runes, tg); ok {
+					ts = tokenScore{s, false}
+				}
+			}
 			ks.sims[row+j] = ts.score
 			ks.exact[row+j] = ts.exact
 			if ts.score > 0 {
@@ -124,7 +147,7 @@ func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan
 	ks.srcCov = unionCov(ks.srcCov, ks.srcToks, ks.tokCov[:rowCov], ks.srcWords)
 	ks.tgtCov = unionCov(ks.tgtCov, ks.tgtToks, ks.tokCov[rowCov:], ks.tgtWords)
 
-	ks.grams.build(ks.tgtF)
+	ks.grams.build(ks.gramKeys, len(ks.tgtF), func(j int) []uint64 { return ks.tgtF[j].grams })
 	return ks
 }
 
@@ -218,7 +241,7 @@ func (ks *KernelScorer) ScoreRow(si int32, common []int32, emit func(tj int32, s
 	if fa.Norm == "" {
 		return
 	}
-	ks.grams.overlap(fa.grams, common[:len(ks.tgtF)])
+	ks.grams.overlap(ks.gramKeys, fa.grams, common[:len(ks.tgtF)])
 	sa := ks.srcToks[si]
 	srcCov := ks.srcCov[int(si)*ks.srcWords : (int(si)+1)*ks.srcWords]
 	for j, fb := range ks.tgtF {
@@ -230,7 +253,7 @@ func (ks *KernelScorer) ScoreRow(si int32, common []int32, emit func(tj int32, s
 			emit(tj, 1, Exact)
 			continue
 		}
-		if fa.known || fb.known {
+		if fa.known && fb.known {
 			switch m.Thesaurus.RelateNormalized(fa.Norm, fb.Norm) {
 			case RelSynonym:
 				emit(tj, 1, Exact)
@@ -336,11 +359,11 @@ func (ks *KernelScorer) directionTgt(from, to []int32, allExact, fullCover *bool
 	return total / float64(len(from))
 }
 
-// gramIndex is an inverted index from trigram hash to the labels holding
-// it, in compressed sparse row form: the gram with key id k has the
-// postings post[off[k]:off[k+1]], in ascending label order.
+// gramIndex is an inverted index from trigram hash to the labels (or
+// tokens) holding it, in compressed sparse row form: the gram with key id
+// k has the postings post[off[k]:off[k+1]], in ascending label order. The
+// key ids come from a map that several indexes may share.
 type gramIndex struct {
-	ids  map[uint64]int32 // gram hash → key id
 	off  []int32
 	post []gramPosting
 	runs []gramRun // build scratch
@@ -352,41 +375,40 @@ type gramPosting struct{ label, mult int32 }
 // gramRun is one (label, distinct gram) run of a sorted gram multiset.
 type gramRun struct{ key, label, mult int32 }
 
-// build indexes the sorted gram multisets of feats.
-func (x *gramIndex) build(feats []*LabelFeatures) {
-	if x.ids == nil {
-		x.ids = make(map[uint64]int32)
-	}
-	clear(x.ids)
-	x.off, x.runs = x.off[:0], x.runs[:0]
-	// Count each key's postings in off.
-	for l, f := range feats {
-		g := f.grams
+// build indexes n sorted gram multisets, gramsOf(l) being label l's,
+// adding to keys every gram it lacks.
+func (x *gramIndex) build(keys map[uint64]int32, n int, gramsOf func(l int) []uint64) {
+	x.runs = x.runs[:0]
+	for l := range n {
+		g := gramsOf(l)
 		for i := 0; i < len(g); {
 			j := i + 1
 			for j < len(g) && g[j] == g[i] {
 				j++
 			}
-			k, ok := x.ids[g[i]]
+			k, ok := keys[g[i]]
 			if !ok {
-				k = int32(len(x.off))
-				x.ids[g[i]] = k
-				x.off = append(x.off, 0)
+				k = int32(len(keys))
+				keys[g[i]] = k
 			}
-			x.off[k]++
 			x.runs = append(x.runs, gramRun{k, int32(l), int32(j - i)})
 			i = j
 		}
 	}
-	// Running sums turn the counts into end offsets; placing the runs
-	// backwards then decrements each key's offset to its start and leaves
-	// its postings in ascending label order.
+	// Count each key's postings, then running sums turn the counts into
+	// end offsets; placing the runs backwards decrements each key's
+	// offset to its start and leaves its postings in ascending label
+	// order.
+	x.off = resize(x.off, len(keys)+1)
+	clear(x.off)
+	for _, run := range x.runs {
+		x.off[run.key]++
+	}
 	sum := int32(0)
 	for k, c := range x.off {
 		sum += c
 		x.off[k] = sum
 	}
-	x.off = append(x.off, sum)
 	x.post = resize(x.post, int(sum))
 	for r := len(x.runs) - 1; r >= 0; r-- {
 		run := x.runs[r]
@@ -397,15 +419,16 @@ func (x *gramIndex) build(feats []*LabelFeatures) {
 
 // overlap writes into common, per indexed label, the size of the multiset
 // intersection of its grams with the sorted multiset g: the count a
-// diceSortedBounded merge of the two reaches.
-func (x *gramIndex) overlap(g []uint64, common []int32) {
+// diceSortedBounded merge of the two reaches. keys is the map build used.
+func (x *gramIndex) overlap(keys map[uint64]int32, g []uint64, common []int32) {
 	clear(common)
 	for i := 0; i < len(g); {
 		j := i + 1
 		for j < len(g) && g[j] == g[i] {
 			j++
 		}
-		if k, ok := x.ids[g[i]]; ok {
+		// Keys added after this index was built have no offsets in it.
+		if k, ok := keys[g[i]]; ok && int(k)+1 < len(x.off) {
 			ma := int32(j - i)
 			for _, p := range x.post[x.off[k]:x.off[k+1]] {
 				common[p.label] += min(ma, p.mult)

@@ -28,8 +28,8 @@ type LabelFeatures struct {
 	// dense interned ids on the owning matcher.
 	toks []string
 	ids  []int32
-	// known records whether the thesaurus has any relation edge for Norm
-	// (or its singular). When neither side is known, the whole-label
+	// known records whether Norm (or its singular) is an end of some
+	// thesaurus edge. Unless both sides are known, the whole-label
 	// thesaurus lookup is provably RelNone and is skipped.
 	known bool
 }
@@ -90,9 +90,9 @@ func (m *NameMatcher) MatchFeatures(fa, fb *LabelFeatures) (float64, Kind) {
 		return 1, Exact
 	}
 	// Whole-label thesaurus relation. With sing-equality excluded above,
-	// RelateNormalized can only return non-None when one side has a
-	// relation edge — the known flags prove absence without map lookups.
-	if fa.known || fb.known {
+	// RelateNormalized can only return non-None when both sides are
+	// thesaurus terms (see KnownNormalized).
+	if fa.known && fb.known {
 		switch m.Thesaurus.RelateNormalized(fa.Norm, fb.Norm) {
 		case RelSynonym:
 			return 1, Exact

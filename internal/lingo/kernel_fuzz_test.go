@@ -194,19 +194,23 @@ func referenceTrigramDice(a, b string) float64 {
 
 // kernelPool holds the label shapes the kernel's fast paths are most
 // likely to get wrong: thesaurus terms with their plurals, abbreviations
-// and acronyms; the irregular shortenings; labels led by a noise token;
-// digits and non-ASCII runes; labels that normalize to empty; labels past
-// the 64-rune stack buffers; near-miss trigram overlaps; repeated
-// trigrams, whose multiplicity the overlap index must count; token lists
-// that put the coverage bound exactly at MatchThreshold ("OrderZq" against
-// "OrderOrdersOrderOrdersQx" covers 1 of 2 and 4 of 5 tokens); and the
-// modifier+noun+digits labels of the synthetic schemas.
+// and acronyms; terms that reach the thesaurus only as hypernym specifics,
+// whole ("ShipDate" against "Dates") or as tokens ("BookEditor" against
+// "PublicationPerson"); the irregular shortenings; labels led by a noise
+// token; digits and non-ASCII runes; labels that normalize to empty;
+// labels past the 64-rune stack buffers; near-miss trigram overlaps;
+// repeated trigrams, whose multiplicity the overlap index must count;
+// token lists that put the coverage bound exactly at MatchThreshold
+// ("OrderZq" against "OrderOrdersOrderOrdersQx" covers 1 of 2 and 4 of 5
+// tokens); and the modifier+noun+digits labels of the synthetic schemas.
 var kernelPool = []string{
 	"OrderNo", "order_numbers", "PurchaseOrder", "PO", "POs", "Quantity",
 	"Qty", "quantities", "UnitOfMeasure", "UOM", "uoms", "Lines", "Items",
 	"Item#", "BillTo", "BillingAddr", "ShippingAddress", "ShipTo", "Writer",
 	"Authors", "DateOfBirth", "DOB", "Seq", "Sequences", "xref",
 	"CrossReference", "Dates", "PurchaseDate",
+	"ShipDate", "Book", "Publications", "Editors", "Person", "BookEditor",
+	"PublicationPerson",
 	"no", "nbr", "Number", "wt", "Weight", "mfg", "Manufacturing", "pkg",
 	"Package", "PkgNo", "ItemNbr",
 	"DataUnitOfMeasure", "InfoQuantity", "ListItems", "RecordSet",
@@ -265,11 +269,13 @@ func fuzzVocabulary(text string, pick uint64) []string {
 // vocabularies to three other computations of the same label pair, score
 // and kind both: Match on a fresh NameMatcher, Match on the warm matcher
 // the scorer was built from (after it scored an unrelated vocabulary, so
-// its token ids differ from a fresh matcher's), and referenceMatch. The
-// scorer is built over buffers a scorer of other vocabularies used and
-// released, and its rows go through stale overlap scratch. The thesaurus
-// is the built-in one or, to let the structural acronym and abbreviation
-// tests decide, an empty one.
+// its token ids differ from a fresh matcher's), and referenceMatch. Then
+// it holds every entry of the token matrix to referenceTokenSim, score and
+// exact flag both, and checks that the coverage bitsets mark exactly the
+// token pairs that score above zero. The scorer is built over buffers a
+// scorer of other vocabularies used and released, and its rows go through
+// stale overlap scratch. The thesaurus is the built-in one or, to let the
+// structural acronym and abbreviation tests decide, an empty one.
 func FuzzKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, srcText, tgtText string, pick uint64, builtin bool) {
 		th := NewThesaurus()
@@ -313,5 +319,53 @@ func FuzzKernel(f *testing.F) {
 				}
 			}
 		}
+		checkTokenMatrix(t, ks, th, builtin)
 	})
+}
+
+// checkTokenMatrix holds every token-matrix entry of ks to
+// referenceTokenSim, and checks that each token's coverage bitset, and
+// each label's, has a bit set exactly where a token pair scores above
+// zero.
+func checkTokenMatrix(t *testing.T, ks *KernelScorer, th *Thesaurus, builtin bool) {
+	t.Helper()
+	ns, nt := len(ks.srcGlob), ks.ntTok
+	bit := func(set []uint64, i int) bool { return set[i>>6]>>(i&63)&1 == 1 }
+	rowCov, colCov := ks.tokCov[:ns*ks.srcWords], ks.tokCov[ns*ks.srcWords:]
+	for i, ga := range ks.srcGlob {
+		for j, gb := range ks.tgtGlob {
+			a, b := ks.m.tokNames[ga], ks.m.tokNames[gb]
+			s, exact := ks.sims[i*nt+j], ks.exact[i*nt+j]
+			if rs, rexact := referenceTokenSim(th, a, b); s != rs || exact != rexact {
+				t.Fatalf("tokens (%q, %q), builtin thesaurus %v: matrix (%v, %v), reference (%v, %v)",
+					a, b, builtin, s, exact, rs, rexact)
+			}
+			if bit(rowCov[i*ks.srcWords:], j) != (s > 0) || bit(colCov[j*ks.tgtWords:], i) != (s > 0) {
+				t.Fatalf("tokens (%q, %q) score %v: row bit %v, column bit %v", a, b, s,
+					bit(rowCov[i*ks.srcWords:], j), bit(colCov[j*ks.tgtWords:], i))
+			}
+		}
+	}
+	for l, toks := range ks.srcToks {
+		for j := range nt {
+			want := false
+			for _, i := range toks {
+				want = want || ks.sims[int(i)*nt+j] > 0
+			}
+			if bit(ks.srcCov[l*ks.srcWords:], j) != want {
+				t.Fatalf("source label %d, target token %q: coverage bit %v, want %v", l, ks.m.tokNames[ks.tgtGlob[j]], !want, want)
+			}
+		}
+	}
+	for l, toks := range ks.tgtToks {
+		for i := range ns {
+			want := false
+			for _, j := range toks {
+				want = want || ks.sims[i*nt+int(j)] > 0
+			}
+			if bit(ks.tgtCov[l*ks.tgtWords:], i) != want {
+				t.Fatalf("target label %d, source token %q: coverage bit %v, want %v", l, ks.m.tokNames[ks.srcGlob[i]], !want, want)
+			}
+		}
+	}
 }

@@ -198,29 +198,44 @@ func (m *NameMatcher) tokenSim(a, b int32) tokenScore {
 	return s
 }
 
+// tokenSimUncached scores one token pair: the front steps, then string
+// similarity.
 func (m *NameMatcher) tokenSimUncached(a, b int32) tokenScore {
-	ta, tb := m.tokNames[a], m.tokNames[b]
+	if s, ok := m.tokenFront(a, b); ok {
+		return s
+	}
 	fa, fb := &m.tokFeats[a], &m.tokFeats[b]
-	// Distinct ids mean distinct tokens, so singular equality alone covers
-	// the "equal or equal-after-singularization" rule.
-	if fa.sing == fb.sing {
-		return tokenScore{1, true}
-	}
-	// Tokens are already lowercase and separator-free; the known flags
-	// prove RelNone without the map probes (see KnownNormalized).
-	if fa.known || fb.known {
-		switch m.Thesaurus.RelateNormalized(ta, tb) {
-		case RelSynonym:
-			return tokenScore{1, true}
-		case RelAcronym, RelHypernym, RelHyponym, RelRelated:
-			return tokenScore{RelaxedScore, false}
-		}
-	}
-	if isAbbreviationLower(ta, tb) || isAbbreviationLower(tb, ta) {
-		return tokenScore{RelaxedScore, false}
-	}
 	if s, ok := simAtLeast(fa.runes, fb.runes, fa.grams, fb.grams); ok {
 		return tokenScore{s, false}
 	}
 	return tokenScore{}
+}
+
+// tokenFront runs the token chain's steps before string similarity
+// (singular equality, thesaurus, abbreviation either way) and reports
+// whether one of them decided the pair.
+func (m *NameMatcher) tokenFront(a, b int32) (tokenScore, bool) {
+	fa, fb := &m.tokFeats[a], &m.tokFeats[b]
+	// Distinct ids mean distinct tokens, so singular equality alone covers
+	// the "equal or equal-after-singularization" rule.
+	if fa.sing == fb.sing {
+		return tokenScore{1, true}, true
+	}
+	ta, tb := m.tokNames[a], m.tokNames[b]
+	// Tokens are already lowercase and separator-free; unless both are
+	// thesaurus terms the relation is RelNone (see KnownNormalized).
+	if fa.known && fb.known {
+		switch m.Thesaurus.RelateNormalized(ta, tb) {
+		case RelSynonym:
+			return tokenScore{1, true}, true
+		case RelAcronym, RelHypernym, RelHyponym, RelRelated:
+			return tokenScore{RelaxedScore, false}, true
+		}
+	}
+	// Tokens are never empty, and an abbreviation shares its expansion's
+	// first byte.
+	if ta[0] == tb[0] && (isAbbreviationLower(ta, tb) || isAbbreviationLower(tb, ta)) {
+		return tokenScore{RelaxedScore, false}, true
+	}
+	return tokenScore{}, false
 }

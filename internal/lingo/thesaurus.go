@@ -57,6 +57,8 @@ type Thesaurus struct {
 	hyper map[string]map[string]bool // hyper[general][specific]
 	acro  map[string]map[string]bool // undirected
 	rel   map[string]map[string]bool // undirected
+	// terms holds both ends of every edge of the four maps.
+	terms map[string]struct{}
 }
 
 // NewThesaurus returns an empty thesaurus.
@@ -66,14 +68,19 @@ func NewThesaurus() *Thesaurus {
 		hyper: map[string]map[string]bool{},
 		acro:  map[string]map[string]bool{},
 		rel:   map[string]map[string]bool{},
+		terms: map[string]struct{}{},
 	}
 }
 
-func addEdge(m map[string]map[string]bool, a, b string) {
+// addEdge records the edge a → b in m and both its ends as terms; every
+// Add method and Merge store their edges through it.
+func (t *Thesaurus) addEdge(m map[string]map[string]bool, a, b string) {
 	if m[a] == nil {
 		m[a] = map[string]bool{}
 	}
 	m[a][b] = true
+	t.terms[a] = struct{}{}
+	t.terms[b] = struct{}{}
 }
 
 // AddSynonym records a ↔ b as synonyms (symmetric).
@@ -82,8 +89,8 @@ func (t *Thesaurus) AddSynonym(a, b string) {
 	if na == "" || nb == "" || na == nb {
 		return
 	}
-	addEdge(t.syn, na, nb)
-	addEdge(t.syn, nb, na)
+	t.addEdge(t.syn, na, nb)
+	t.addEdge(t.syn, nb, na)
 }
 
 // AddSynonymGroup records every pair in words as synonyms.
@@ -104,7 +111,7 @@ func (t *Thesaurus) AddHypernym(general string, specifics ...string) {
 		if ng == "" || ns == "" || ng == ns {
 			continue
 		}
-		addEdge(t.hyper, ng, ns)
+		t.addEdge(t.hyper, ng, ns)
 	}
 }
 
@@ -115,8 +122,8 @@ func (t *Thesaurus) AddAcronym(short, long string) {
 	if ns == "" || nl == "" || ns == nl {
 		return
 	}
-	addEdge(t.acro, ns, nl)
-	addEdge(t.acro, nl, ns)
+	t.addEdge(t.acro, ns, nl)
+	t.addEdge(t.acro, nl, ns)
 }
 
 // AddRelated records a ↔ b as semantically related but not synonymous
@@ -126,8 +133,8 @@ func (t *Thesaurus) AddRelated(a, b string) {
 	if na == "" || nb == "" || na == nb {
 		return
 	}
-	addEdge(t.rel, na, nb)
-	addEdge(t.rel, nb, na)
+	t.addEdge(t.rel, na, nb)
+	t.addEdge(t.rel, nb, na)
 }
 
 // AddRelatedGroup records every pair in words as related.
@@ -190,35 +197,26 @@ func (t *Thesaurus) relate(na, nb string) Relation {
 }
 
 // KnownNormalized reports whether the normalized term — or its singular
-// form — is a key of any relation map. When KnownNormalized is false for
-// both terms of a pair whose singular forms differ, RelateNormalized is
-// provably RelNone: every branch of relate requires one side as a map key
-// (hyponym checks hyper keyed by the *other* term, which that term's own
-// flag covers), and the singular fallback only consults singular-form
-// keys. Hot paths use this to skip the five map probes per pair.
+// form — is an end of some relation edge. For a pair whose singular forms
+// differ, RelateNormalized can return a relation only when both terms are
+// known, so hot paths that have already tested singular equality skip the
+// five map probes unless both flags are set:
+//
+//   - every relation relate finds is an edge between its two arguments,
+//     so both arguments are terms;
+//   - the singular fallback relates the two singular forms, so again both
+//     are terms, and KnownNormalized probes each term's singular form;
+//   - equal singular forms, the fallback's one other way to relate, are
+//     what those paths tested first.
 func (t *Thesaurus) KnownNormalized(n string) bool {
-	if t.termKey(n) {
+	if _, ok := t.terms[n]; ok {
 		return true
 	}
 	if s := Singularize(n); s != n {
-		return t.termKey(s)
+		_, ok := t.terms[s]
+		return ok
 	}
 	return false
-}
-
-// termKey reports whether n keys any of the relation maps.
-func (t *Thesaurus) termKey(n string) bool {
-	if _, ok := t.syn[n]; ok {
-		return true
-	}
-	if _, ok := t.acro[n]; ok {
-		return true
-	}
-	if _, ok := t.hyper[n]; ok {
-		return true
-	}
-	_, ok := t.rel[n]
-	return ok
 }
 
 // Size returns the number of directed relation edges stored, a cheap
@@ -247,22 +245,22 @@ func (t *Thesaurus) Merge(other *Thesaurus) {
 	}
 	for a, m := range other.syn {
 		for b := range m {
-			addEdge(t.syn, a, b)
+			t.addEdge(t.syn, a, b)
 		}
 	}
 	for a, m := range other.hyper {
 		for b := range m {
-			addEdge(t.hyper, a, b)
+			t.addEdge(t.hyper, a, b)
 		}
 	}
 	for a, m := range other.acro {
 		for b := range m {
-			addEdge(t.acro, a, b)
+			t.addEdge(t.acro, a, b)
 		}
 	}
 	for a, m := range other.rel {
 		for b := range m {
-			addEdge(t.rel, a, b)
+			t.addEdge(t.rel, a, b)
 		}
 	}
 }

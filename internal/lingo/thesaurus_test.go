@@ -1,6 +1,9 @@
 package lingo
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestThesaurusRelate(t *testing.T) {
 	th := NewThesaurus()
@@ -142,5 +145,39 @@ func TestDefaultThesaurusPaperRelations(t *testing.T) {
 	// Default() is memoized: same instance.
 	if Default() != th {
 		t.Fatal("Default() not memoized")
+	}
+}
+
+// Every end of every relation edge is a known term, however the edge got
+// there: the kernel skips the thesaurus unless both terms of a pair are
+// known, which is exact only if this holds (see KnownNormalized).
+func TestEdgeEndsKnown(t *testing.T) {
+	loaded, err := LoadThesaurus(strings.NewReader(
+		"synonym\twriter\tauthor\nrelated\tlines\titems\nacronym\tuom\tunit of measure\nhypernym\tvehicle\ttruck\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := NewThesaurus()
+	merged.Merge(loaded)
+	for name, th := range map[string]*Thesaurus{"Default": Default(), "LoadThesaurus": loaded, "Merge": merged} {
+		for _, m := range []map[string]map[string]bool{th.syn, th.hyper, th.acro, th.rel} {
+			for a, ends := range m {
+				for b := range ends {
+					for _, n := range []string{a, b} {
+						if !th.KnownNormalized(n) {
+							t.Errorf("%s: %q ends the edge %q → %q but is not KnownNormalized", name, n, a, b)
+						}
+					}
+				}
+			}
+		}
+	}
+	// "ship date" is only ever a hypernym specific, and "trucks" a plural
+	// of one.
+	if !Default().KnownNormalized("shipdate") {
+		t.Error(`Default().KnownNormalized("shipdate") = false`)
+	}
+	if !loaded.KnownNormalized("trucks") {
+		t.Error(`KnownNormalized("trucks") = false with the edge vehicle → truck`)
 	}
 }

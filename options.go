@@ -233,10 +233,15 @@ func WithoutBuiltinThesaurus() Option {
 	return func(c *config) { c.noBuiltin = true }
 }
 
-// thesaurus resolves the effective thesaurus for this configuration. The
-// result is freshly merged and owned by the caller; an Engine merges it
-// once at construction and shares it read-only afterwards.
+// thesaurus resolves the effective thesaurus for this configuration, which
+// the caller must treat as read-only. With the built-in thesaurus and no
+// custom one it is lingo.Default() itself, built once per process and
+// shared by every such Engine; otherwise it is freshly merged, so later
+// edits to a custom Thesaurus do not reach an Engine built from it.
 func (c *config) thesaurus() *lingo.Thesaurus {
+	if c.custom == nil && !c.noBuiltin {
+		return lingo.Default()
+	}
 	t := lingo.NewThesaurus()
 	if !c.noBuiltin {
 		t.Merge(lingo.Default())
