@@ -263,6 +263,27 @@ func TestDebugSlowRecall(t *testing.T) {
 	if parents["intern"] != ids["match"] {
 		t.Fatalf("intern not under match: parents=%v ids=%v", parents, ids)
 	}
+	// Each inline schema's parse is a span under the request root, sized
+	// on its side of the match.
+	var srcParses, tgtParses int
+	for _, sp := range entry.Trace.Spans {
+		if sp.Phase != "parse" {
+			continue
+		}
+		if sp.ParentID != ids["request"] {
+			t.Fatalf("parse span not under the request root: %+v", sp)
+		}
+		switch {
+		case sp.SrcNodes > 0 && sp.TgtNodes == 0:
+			srcParses++
+		case sp.TgtNodes > 0 && sp.SrcNodes == 0:
+			tgtParses++
+		}
+	}
+	if phases["parse"] != 2 || srcParses != 1 || tgtParses != 1 {
+		t.Fatalf("want one source and one target parse span, got %d spans (%d source, %d target)",
+			phases["parse"], srcParses, tgtParses)
+	}
 
 	// &format=events exports the same trace as a Chrome trace-event array.
 	resp, err = http.Get(ds.URL + "/debug/slow?id=" + clientTraceID + "&format=events")

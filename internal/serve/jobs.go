@@ -8,6 +8,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -83,7 +84,7 @@ type JobResultTrailer struct {
 // schemas: registry ids resolve to their stored artifacts, inline
 // documents are parsed and compiled through eng. The returned names
 // mirror the refs for progress display ("inline" for inline entries).
-func (s *Server) resolveJobRefs(refs []JobSchemaRef, role string, eng *qmatch.Engine) ([]*qmatch.CompiledSchema, []string, int, error) {
+func (s *Server) resolveJobRefs(ctx context.Context, refs []JobSchemaRef, role string, eng *qmatch.Engine) ([]*qmatch.CompiledSchema, []string, int, error) {
 	schemas := make([]*qmatch.CompiledSchema, len(refs))
 	names := make([]string, len(refs))
 	for i, ref := range refs {
@@ -101,7 +102,7 @@ func (s *Server) resolveJobRefs(refs []JobSchemaRef, role string, eng *qmatch.En
 			}
 			schemas[i], names[i] = cs, ref.ID
 		case ref.Schema != nil:
-			parsed, err := ref.Schema.parse(fmt.Sprintf("%s[%d]", role, i))
+			parsed, err := ref.Schema.parse(ctx, fmt.Sprintf("%s[%d]", role, i))
 			if err != nil {
 				return nil, nil, http.StatusBadRequest, err
 			}
@@ -146,12 +147,12 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sources, srcIDs, status, err := s.resolveJobRefs(req.Sources, "sources", eng)
+	sources, srcIDs, status, err := s.resolveJobRefs(r.Context(), req.Sources, "sources", eng)
 	if err != nil {
 		writeError(w, status, err.Error())
 		return
 	}
-	targets, tgtIDs, status, err := s.resolveJobRefs(req.Targets, "targets", eng)
+	targets, tgtIDs, status, err := s.resolveJobRefs(r.Context(), req.Targets, "targets", eng)
 	if err != nil {
 		writeError(w, status, err.Error())
 		return

@@ -93,7 +93,7 @@ func (s *Server) handlePutSchema(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	schema, err := req.Schema.parse("schema")
+	schema, err := req.Schema.parse(r.Context(), "schema")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -217,7 +217,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	query, err := req.Query.parse("query")
+	query, err := req.Query.parse(r.Context(), "query")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

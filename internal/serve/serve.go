@@ -501,12 +501,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	src, err := req.Source.parse("source")
+	src, err := req.Source.parse(r.Context(), "source")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tgt, err := req.Target.parse("target")
+	tgt, err := req.Target.parse(r.Context(), "target")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -554,12 +554,12 @@ func (s *Server) handleMatchAll(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("grid of %d pairs exceeds the %d-pair limit", pairs, s.cfg.MaxPairs))
 		return
 	}
-	sources, err := parseAll(req.Sources, "sources")
+	sources, err := parseAll(r.Context(), req.Sources, "sources")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	targets, err := parseAll(req.Targets, "targets")
+	targets, err := parseAll(r.Context(), req.Targets, "targets")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -593,12 +593,12 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("corpus of %d schemas exceeds the %d-pair limit", len(req.Corpus), s.cfg.MaxPairs))
 		return
 	}
-	query, err := req.Query.parse("query")
+	query, err := req.Query.parse(r.Context(), "query")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	corpus, err := parseAll(req.Corpus, "corpus")
+	corpus, err := parseAll(r.Context(), req.Corpus, "corpus")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

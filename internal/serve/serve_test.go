@@ -306,6 +306,24 @@ func TestOversizedBody413(t *testing.T) {
 	}
 }
 
+// A source schema nested 50,000 deep (1.35 MB, under the body cap) is
+// refused with 400: the parser stops at its nesting bound instead of
+// recursing 50,000 frames deep.
+func TestDeeplyNestedSchema400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const depth = 50_000
+	deep := `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="R"><xs:complexType>` +
+		strings.Repeat("<xs:sequence>", depth) + strings.Repeat("</xs:sequence>", depth) +
+		`</xs:complexType></xs:element></xs:schema>`
+	resp, body := post(t, ts.URL+"/v1/match", matchBody(deep, poTargetXSD))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %.200s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "nest deeper") {
+		t.Errorf("400 body does not name the nesting bound: %s", body)
+	}
+}
+
 // When every slot is busy and the queue is full, new match requests are
 // shed immediately with 429 and the shed counter advances.
 func TestLimiterSaturation429(t *testing.T) {

@@ -6,6 +6,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"strings"
 
 	"qmatch"
+	"qmatch/internal/obs"
 )
 
 // SchemaInput is one schema shipped inside a request body.
@@ -32,7 +34,25 @@ type SchemaInput struct {
 }
 
 // parse resolves the input into a Schema; role names the field in errors.
-func (in *SchemaInput) parse(role string) (*qmatch.Schema, error) {
+// It records a parse span under the request span of ctx's trace, with the
+// schema's size as the span's target nodes for a target role (target,
+// targets[i], corpus[i]) and as its source nodes for any other.
+func (in *SchemaInput) parse(ctx context.Context, role string) (*qmatch.Schema, error) {
+	sp := obs.TraceFromContext(ctx).StartSpan(obs.PhaseParse)
+	defer sp.End()
+	s, err := in.parseFormat(role)
+	if err != nil {
+		return nil, err
+	}
+	if strings.HasPrefix(role, "target") || strings.HasPrefix(role, "corpus") {
+		sp.SetNodes(0, s.Size())
+	} else {
+		sp.SetNodes(s.Size(), 0)
+	}
+	return s, nil
+}
+
+func (in *SchemaInput) parseFormat(role string) (*qmatch.Schema, error) {
 	if in == nil || in.Data == "" {
 		return nil, fmt.Errorf("missing %s schema data", role)
 	}
@@ -57,10 +77,10 @@ func (in *SchemaInput) parse(role string) (*qmatch.Schema, error) {
 		var format qmatch.Format
 		format, err = qmatch.DetectFormat([]byte(in.Data))
 		if err == nil && (format == qmatch.FormatDTD || format == qmatch.FormatDDL) {
-			return (&SchemaInput{Format: string(format), Data: in.Data, Root: in.Root}).parse(role)
+			return (&SchemaInput{Format: string(format), Data: in.Data, Root: in.Root}).parseFormat(role)
 		}
 		if err == nil {
-			return (&SchemaInput{Format: string(format), Data: in.Data}).parse(role)
+			return (&SchemaInput{Format: string(format), Data: in.Data}).parseFormat(role)
 		}
 	default:
 		return nil, fmt.Errorf("%s: unknown schema format %q (want xsd, dtd, xml, jsonschema, ddl or auto)", role, in.Format)
@@ -71,10 +91,10 @@ func (in *SchemaInput) parse(role string) (*qmatch.Schema, error) {
 	return s, nil
 }
 
-func parseAll(ins []SchemaInput, role string) ([]*qmatch.Schema, error) {
+func parseAll(ctx context.Context, ins []SchemaInput, role string) ([]*qmatch.Schema, error) {
 	out := make([]*qmatch.Schema, len(ins))
 	for i := range ins {
-		s, err := ins[i].parse(fmt.Sprintf("%s[%d]", role, i))
+		s, err := ins[i].parse(ctx, fmt.Sprintf("%s[%d]", role, i))
 		if err != nil {
 			return nil, err
 		}

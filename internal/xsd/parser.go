@@ -6,6 +6,12 @@
 // sequence/choice/all groups, attributes, simple types with restriction,
 // simpleContent/complexContent derivation, element and attribute references,
 // occurrence constraints, and recursive type definitions.
+//
+// Documents are read by a byte-level decoder (decode.go) that accepts what
+// encoding/xml's strict Decoder accepts, within a nesting bound of 4,096
+// elements, and fills the raw declarations below as xml.Unmarshal would
+// from their struct tags. encoding/xml's reflective decode remains in the
+// tests as the reference the decoder is checked against.
 package xsd
 
 import (
@@ -18,11 +24,13 @@ import (
 	"qmatch/internal/xmltree"
 )
 
-// Raw document shapes. Field tags use unqualified local names, so any
-// schema namespace prefix (xs:, xsd:, none) is accepted.
+// Raw document shapes. Children and attributes match by local name, so any
+// schema namespace prefix (xs:, xsd:, none) is accepted. The field tags say
+// so to encoding/xml, which reads these structs in the reference decode of
+// the tests; decode.go's attr and child methods give the same names.
 
 type xsdSchema struct {
-	XMLName         xml.Name            `xml:"schema"`
+	XMLName         xml.Name            `xml:"schema"` // the reference decode's root check
 	Elements        []xsdElement        `xml:"element"`
 	ComplexTypes    []xsdComplexType    `xml:"complexType"`
 	SimpleTypes     []xsdSimpleType     `xml:"simpleType"`
@@ -77,10 +85,9 @@ type xsdGroupRef struct {
 	Ref string `xml:"ref,attr"`
 }
 
-// xsdGroup is a model group (sequence, choice or all). It implements
-// xml.Unmarshaler so that element declarations and nested groups are kept
-// in document order — struct-tag decoding would split them into separate
-// slices and lose the interleaving.
+// xsdGroup is a model group (sequence, choice or all). Its element
+// declarations and nested groups are kept as one list in document order:
+// separate slices per kind would lose the interleaving.
 type xsdGroup struct {
 	Items []groupItem
 }
@@ -89,46 +96,6 @@ type groupItem struct {
 	Element  *xsdElement
 	Group    *xsdGroup
 	GroupRef string // reference to a named model group
-}
-
-// UnmarshalXML decodes the group's children in document order, skipping
-// constructs outside the supported subset (annotations, wildcards).
-func (g *xsdGroup) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			switch t.Name.Local {
-			case "element":
-				var e xsdElement
-				if err := d.DecodeElement(&e, &t); err != nil {
-					return err
-				}
-				g.Items = append(g.Items, groupItem{Element: &e})
-			case "sequence", "choice", "all":
-				var sub xsdGroup
-				if err := d.DecodeElement(&sub, &t); err != nil {
-					return err
-				}
-				g.Items = append(g.Items, groupItem{Group: &sub})
-			case "group":
-				var ref xsdGroupRef
-				if err := d.DecodeElement(&ref, &t); err != nil {
-					return err
-				}
-				g.Items = append(g.Items, groupItem{GroupRef: ref.Ref})
-			default:
-				if err := d.Skip(); err != nil {
-					return err
-				}
-			}
-		case xml.EndElement:
-			return nil
-		}
-	}
 }
 
 type xsdContent struct {
@@ -172,8 +139,9 @@ type xsdAttribute struct {
 	Default string `xml:"default,attr"`
 }
 
-// Parse reads an XSD document and returns the schema tree rooted at the
-// first global element declaration.
+// Parse reads r to EOF and parses the document as ParseString does. The
+// decoder works on the whole document, which callers already hold:
+// qmatchd caps request bodies at 4 MiB and the CLIs read files whole.
 func Parse(r io.Reader) (*xmltree.Node, error) {
 	roots, err := ParseAll(r)
 	if err != nil {
@@ -182,28 +150,43 @@ func Parse(r io.Reader) (*xmltree.Node, error) {
 	return roots[0], nil
 }
 
-// ParseString is Parse over a string.
+// ParseString parses an XSD document and returns the schema tree rooted at
+// its first global element declaration.
 func ParseString(s string) (*xmltree.Node, error) {
-	return Parse(strings.NewReader(s))
+	roots, err := parseAll(s)
+	if err != nil {
+		return nil, err
+	}
+	return roots[0], nil
 }
 
-// ParseAll reads an XSD document and returns one schema tree per global
-// element declaration, in document order. It returns an error for malformed
-// XML, for schemas with no global element, and for dangling element or
+// ParseAll reads r to EOF, as Parse does, and returns one schema tree per
+// global element declaration of the document, in document order. It
+// returns an error for malformed XML, for elements nested deeper than
+// 4,096, for schemas with no global element, and for dangling element or
 // attribute references.
 func ParseAll(r io.Reader) ([]*xmltree.Node, error) {
-	var doc xsdSchema
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("xsd: parse: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xsd: read: %w", err)
 	}
-	if doc.XMLName.Local != "schema" {
-		return nil, fmt.Errorf("xsd: root element is %q, want schema", doc.XMLName.Local)
+	return parseAll(string(b))
+}
+
+func parseAll(s string) ([]*xmltree.Node, error) {
+	doc, err := decode(s)
+	if err != nil {
+		return nil, err
 	}
+	return resolve(doc)
+}
+
+// resolve builds one tree per global element declaration of doc.
+func resolve(doc *xsdSchema) ([]*xmltree.Node, error) {
 	if len(doc.Elements) == 0 {
 		return nil, fmt.Errorf("xsd: schema declares no global elements")
 	}
-	res := newResolver(&doc)
+	res := newResolver(doc)
 	roots := make([]*xmltree.Node, 0, len(doc.Elements))
 	for i := range doc.Elements {
 		n, err := res.element(&doc.Elements[i], i+1)

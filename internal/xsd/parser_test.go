@@ -1,9 +1,12 @@
 package xsd
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"qmatch/internal/dataset"
+	"qmatch/internal/synth"
 	"qmatch/internal/xmltree"
 )
 
@@ -396,5 +399,71 @@ func TestParseListAndUnionTypes(t *testing.T) {
 	}
 	if got := root.Find("R/Flexible").Props.Type; got != "integer" {
 		t.Fatalf("union type = %q", got)
+	}
+}
+
+// nestedSchema returns a schema whose elements nest depth deep: the
+// schema, a global element and its complex type, then sequences around
+// one leaf element.
+func nestedSchema(depth int) string {
+	n := depth - 4
+	return `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="R"><xs:complexType>` +
+		strings.Repeat("<xs:sequence>", n) + `<xs:element name="Leaf"/>` + strings.Repeat("</xs:sequence>", n) +
+		`</xs:complexType></xs:element></xs:schema>`
+}
+
+// Nesting is bounded at maxDepth elements, counted while tokenizing, so a
+// deep document fails before its recursion grows the stack.
+func TestParseNestingBound(t *testing.T) {
+	roots := checkAgainstReference(t, nestedSchema(maxDepth))
+	if roots == nil || roots[0].Find("R/Leaf") == nil {
+		t.Fatalf("%d-deep schema rejected or without its leaf", maxDepth)
+	}
+	for _, depth := range []int{maxDepth + 1, 150_000} {
+		_, err := ParseString(nestedSchema(depth))
+		if !errors.Is(err, errTooDeep) || !strings.HasPrefix(err.Error(), "xsd: parse: ") {
+			t.Errorf("%d-deep schema: err = %v, want an xsd: parse: error for nesting", depth, err)
+		}
+	}
+}
+
+// The shapes the benchmark decks send parse to the reference's trees: the
+// dataset corpus, and synthetic schemas of 20–1000 elements with their
+// Uniform(0.3) variants. The benchmark's own output check cannot see a
+// parser change: it computes its expected outputs with the same library.
+func TestDeckShapesMatchReference(t *testing.T) {
+	for _, name := range dataset.Names() {
+		tree, err := dataset.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstReference(t, Render(tree))
+	}
+	for i, elements := range []int{20, 60, 100, 250, 500, 1000} {
+		base := synth.Generate(synth.Config{Seed: int64(i + 1), Elements: elements})
+		variant, _ := synth.Derive(base, synth.Uniform(int64(i+101), 0.3))
+		for _, tree := range []*xmltree.Node{base, variant} {
+			if checkAgainstReference(t, Render(tree)) == nil {
+				t.Errorf("%d-element synthetic schema rejected", elements)
+			}
+		}
+	}
+}
+
+// One pass over the document: a 1000-element synthetic schema (107,741
+// bytes) parses in about 5,650 allocations, against 23,183 through
+// encoding/xml's reflective decode.
+func TestParseAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	doc := Render(synth.Generate(synth.Config{Seed: 12, Elements: 1000}))
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ParseString(doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8000 {
+		t.Errorf("1000-element parse = %.0f allocs/run, regression ceiling is 8000", allocs)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"qmatch/internal/core"
 	"qmatch/internal/linguistic"
@@ -48,7 +47,11 @@ func ParseSchema(r io.Reader) (*Schema, error) {
 
 // ParseSchemaString is ParseSchema over a string.
 func ParseSchemaString(s string) (*Schema, error) {
-	return ParseSchema(strings.NewReader(s))
+	root, err := xsd.ParseString(s)
+	if err != nil {
+		return nil, err
+	}
+	return &Schema{root: root}, nil
 }
 
 // ParseSchemaFile is ParseSchema over a file path.
