@@ -11,7 +11,6 @@ import (
 	"qmatch/internal/artifact"
 	"qmatch/internal/core"
 	"qmatch/internal/obs"
-	"qmatch/internal/xmltree"
 )
 
 // CompiledSchema is a schema compiled once into everything a match needs:
@@ -65,7 +64,8 @@ func Compile(s *Schema, opts ...CompileOption) (*CompiledSchema, error) {
 //	ErrArtifactVersion    a format version this build does not speak
 //	ErrArtifactTruncated  the blob ends inside the header or payload
 //	ErrArtifactChecksum   the payload does not hash to its header sum
-//	ErrArtifactMalformed  the payload checksums but violates the grammar
+//	ErrArtifactMalformed  the payload checksums but violates the grammar,
+//	                      or bytes follow the artifact
 var (
 	ErrArtifactMagic     = artifact.ErrMagic
 	ErrArtifactVersion   = artifact.ErrVersion
@@ -76,7 +76,9 @@ var (
 
 // DecodeCompiled reads an artifact written by Encode and rebuilds the
 // ready-to-match CompiledSchema, verifying format version and checksum
-// first (see the ErrArtifact* sentinels for the failure modes).
+// first (see the ErrArtifact* sentinels for the failure modes). r must hold
+// exactly one artifact: DecodeCompiled reads it to EOF, and any byte after
+// the artifact is ErrArtifactMalformed.
 func DecodeCompiled(r io.Reader) (*CompiledSchema, error) {
 	art, err := artifact.Decode(r)
 	if err != nil {
@@ -157,16 +159,6 @@ func (e *Engine) Compile(s *Schema, opts ...CompileOption) (*CompiledSchema, err
 	return cs, err
 }
 
-// compiledInterner builds the vocabulary lookup the core matcher consults
-// instead of interning at match entry: tree root → precompiled Interned.
-func compiledInterner(cs ...*CompiledSchema) func(*xmltree.Node) *core.Interned {
-	m := make(map[*xmltree.Node]*core.Interned, len(cs))
-	for _, c := range cs {
-		m[c.art.Root] = c.art.Interned
-	}
-	return func(root *xmltree.Node) *core.Interned { return m[root] }
-}
-
 // MatchCompiled is Match over compiled schemas: the match starts directly
 // at the pair-table phase, reusing each side's precompiled vocabulary.
 // The Report is bit-identical to Match(src.Schema(), tgt.Schema()).
@@ -207,13 +199,11 @@ func (e *Engine) RankCompiled(ctx context.Context, query *CompiledSchema, corpus
 		}
 	}
 	sub := make([]*Schema, len(keep))
-	compiled := make([]*CompiledSchema, 0, len(keep)+1)
-	compiled = append(compiled, query)
+	tv := make([]*core.Interned, len(keep))
 	for i, ci := range keep {
-		sub[i] = corpus[ci].schema
-		compiled = append(compiled, corpus[ci])
+		sub[i], tv[i] = corpus[ci].schema, corpus[ci].art.Interned
 	}
-	rows, err := e.matchAll(ctx, []*Schema{query.schema}, sub, compiledInterner(compiled...), "rank",
+	rows, err := e.matchAll(ctx, []*Schema{query.schema}, sub, []*core.Interned{query.art.Interned}, tv, "rank",
 		slog.String("query", query.Name()), slog.Int("corpus", len(corpus)))
 	if err != nil {
 		return nil, err

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"qmatch"
 	"qmatch/internal/dataset"
+	"qmatch/internal/synth"
+	"qmatch/internal/xmltree"
 	"qmatch/internal/xsd"
 )
 
@@ -269,6 +273,12 @@ func TestDecodeCompiledTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
+	// A whole artifact with one byte appended: it must not decode and then
+	// re-encode one byte shorter.
+	trailing := append(append([]byte(nil), blob...), '0')
+	if _, err := qmatch.DecodeCompiled(bytes.NewReader(trailing)); !errors.Is(err, qmatch.ErrArtifactMalformed) {
+		t.Errorf("trailing byte: got %v, want ErrArtifactMalformed", err)
+	}
 	blob[len(blob)-1] ^= 0xff
 	if _, err := qmatch.DecodeCompiled(bytes.NewReader(blob)); !errors.Is(err, qmatch.ErrArtifactChecksum) {
 		t.Errorf("corrupted payload: got %v, want ErrArtifactChecksum", err)
@@ -346,5 +356,63 @@ func TestMatchCompiledAllocsBounded(t *testing.T) {
 	})
 	if allocs > 600 {
 		t.Errorf("DCMD MatchCompiled = %.0f allocs/run, regression ceiling is 600", allocs)
+	}
+}
+
+// A warm RankCompiled of a registry search's shape — 16 candidates of 20–100
+// elements, derived from four synthetic families, at parallelism 1 — fills
+// one shared kernel and 16 pair tables from the arena pools. It runs at
+// about 760 allocations and 161 KiB. The ceilings are the measurement of
+// the same call with one kernel per candidate, 850 allocations and
+// 169,376 bytes (the smallest of 5 runs), so they trip on unpooled batch
+// scratch or on any new per-candidate allocation.
+func TestRankCompiledAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs sync.Pool retention and alloc counts")
+	}
+	compile := func(root *xmltree.Node) *qmatch.CompiledSchema {
+		cs, err := qmatch.Compile(qmatch.FromTree(root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	var corpus []*qmatch.CompiledSchema
+	var query *qmatch.CompiledSchema
+	for f := 0; f < 4; f++ {
+		base := synth.Generate(synth.Config{Seed: int64(301 + f), Elements: 20 + 25*f, MaxDepth: 5, MaxChildren: 7})
+		for v := 0; v < 4; v++ {
+			d, _ := synth.Derive(base, synth.Uniform(int64(40*f+v), 0.3))
+			corpus = append(corpus, compile(d))
+		}
+		if f == 2 {
+			d, _ := synth.Derive(base, synth.Uniform(399, 0.3))
+			query = compile(d)
+		}
+	}
+	eng, err := qmatch.NewEngine(qmatch.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := func() {
+		if _, err := eng.RankCompiled(context.Background(), query, corpus, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rank() // warm the name matchers and the buffer pools
+	allocs := testing.AllocsPerRun(5, rank)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rank()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if allocs > 850 {
+		t.Errorf("RankCompiled = %.0f allocs/run, regression ceiling is 850", allocs)
+	}
+	if least > 165<<10 {
+		t.Errorf("RankCompiled allocates %d KiB, regression ceiling is 165 KiB", least>>10)
 	}
 }

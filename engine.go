@@ -17,7 +17,6 @@ import (
 	"qmatch/internal/match"
 	"qmatch/internal/obs"
 	"qmatch/internal/structural"
-	"qmatch/internal/xmltree"
 )
 
 // Engine is a reusable, goroutine-safe matching handle. It is compiled
@@ -192,13 +191,14 @@ func (e *Engine) Parallelism() int { return e.parallelism }
 
 // algorithm builds one single-goroutine matcher instance over the shared
 // thesaurus, borrowing a warm NameMatcher from the pool, and wires it for
-// one call: inner bounds the hybrid pair-table worker pool, ctx's Done
-// channel aborts in-flight fills, and interner (nil interns at match
-// entry) serves compiled vocabularies. For the hybrid algorithm h is the
-// same instance as alg, typed — the handle the match path fills, selects
-// and traces through; the baselines return a nil h. The release function
-// gives the NameMatcher back; the matcher must not be used after release.
-func (e *Engine) algorithm(ctx context.Context, inner int, interner func(*xmltree.Node) *core.Interned) (alg match.Algorithm, h *core.Hybrid, release func()) {
+// one call: inner bounds the hybrid pair-table worker pool, and ctx's Done
+// channel aborts in-flight fills. For the hybrid algorithm h is the same
+// instance as alg, typed — the handle the match path fills, selects and
+// traces through, and on which callers install vocabularies and shared
+// kernels (core.KernelView); the baselines return a nil h. The release
+// function gives the NameMatcher back; the matcher must not be used after
+// release.
+func (e *Engine) algorithm(ctx context.Context, inner int) (alg match.Algorithm, h *core.Hybrid, release func()) {
 	switch e.cfg.alg {
 	case Linguistic:
 		m := linguistic.New(e.thesaurus)
@@ -222,7 +222,7 @@ func (e *Engine) algorithm(ctx context.Context, inner int, interner func(*xmltre
 		return m, nil, func() { e.names.Put(m.Names) }
 	default:
 		h, release := e.hybrid(inner)
-		h.Done, h.Interner = ctx.Done(), interner
+		h.Done = ctx.Done()
 		return h, h, release
 	}
 }
@@ -281,19 +281,18 @@ func (e *Engine) Match(src, tgt *Schema) *Report {
 // MatchCompiledContext all run through it. ctx's Done channel aborts the
 // pair-table fill; on cancellation the partial report comes back with
 // ctx.Err(). csrc and ctgt are the compiled forms of src and tgt on the
-// compiled path (nil on the parse path): the match reuses their
+// compiled path (nil on the parse path): the match reads their
 // vocabularies, and on a WithRematchState Engine a complete match keeps
 // its pair table on the report.
 func (e *Engine) match(ctx context.Context, src, tgt *Schema, csrc, ctgt *CompiledSchema) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var interner func(*xmltree.Node) *core.Interned
-	if csrc != nil {
-		interner = compiledInterner(csrc, ctgt)
-	}
-	alg, h, release := e.algorithm(ctx, e.parallelism, interner)
+	alg, h, release := e.algorithm(ctx, e.parallelism)
 	defer release()
+	if h != nil && csrc != nil {
+		h.View = core.KernelView{Src: csrc.art.Interned, Tgt: ctgt.art.Interned}
+	}
 	report, table := e.run(ctx, alg, h, nil, src, tgt)
 	err := ctx.Err()
 	if err != nil {
@@ -336,11 +335,7 @@ func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, h *core.H
 	var tr *obs.Trace
 	var matchSpan *obs.ActiveSpan
 	if e.tracing || e.collect {
-		tr = obs.NewTrace()
-		if traceID, _ := obs.IDsFromContext(ctx); traceID != "" {
-			tr.SetID(traceID)
-		}
-		tr.SetPhaseCell(obs.PhaseCellFromContext(ctx))
+		tr = newTrace(ctx)
 		matchSpan = tr.StartSpan(obs.PhaseMatch)
 		matchSpan.SetNodes(src.Size(), tgt.Size())
 		tr.SetParent(matchSpan)
@@ -380,14 +375,7 @@ func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, h *core.H
 			e.em.duration.Observe(elapsed.Seconds())
 			e.em.cells.Add(int64(src.Size()) * int64(tgt.Size()))
 		}
-		if mt != nil {
-			for i := range mt.Spans {
-				// Unmetered structural phases miss both maps; the nil
-				// handles no-op.
-				e.em.phaseNs[mt.Spans[i].Phase].Add(mt.Spans[i].DurationNs)
-				e.em.phaseDur[mt.Spans[i].Phase].Observe(float64(mt.Spans[i].DurationNs) / 1e9)
-			}
-		}
+		e.observePhases(mt)
 	}
 	if e.logger != nil {
 		level, msg := slog.LevelInfo, "match complete"
@@ -403,6 +391,29 @@ func (e *Engine) runObserved(ctx context.Context, alg match.Algorithm, h *core.H
 			slog.Float64("treeQoM", report.TreeQoM))
 	}
 	return report, table
+}
+
+// newTrace starts a phase trace correlated by ctx: the trace ID stamped on
+// it and the phase cell that mirrors its current phase into qmatchd's
+// /debug/requests.
+func newTrace(ctx context.Context) *obs.Trace {
+	tr := obs.NewTrace()
+	if traceID, _ := obs.IDsFromContext(ctx); traceID != "" {
+		tr.SetID(traceID)
+	}
+	tr.SetPhaseCell(obs.PhaseCellFromContext(ctx))
+	return tr
+}
+
+// observePhases folds a finished trace's spans into the per-phase
+// wall-time counters and duration histograms.
+func (e *Engine) observePhases(mt *obs.MatchTrace) {
+	for i := range mt.Spans {
+		// Unmetered structural phases miss both maps; the nil handles
+		// no-op.
+		e.em.phaseNs[mt.Spans[i].Phase].Add(mt.Spans[i].DurationNs)
+		e.em.phaseDur[mt.Spans[i].Phase].Observe(float64(mt.Spans[i].DurationNs) / 1e9)
+	}
 }
 
 // MatchContext is Match with deadline and cancellation propagation: the
@@ -478,16 +489,28 @@ func (e *Engine) ExplainTop(src, tgt *Schema, n int) string {
 // cancellation MatchAll returns ctx.Err() and a nil result. A nil ctx is
 // treated as context.Background().
 func (e *Engine) MatchAll(ctx context.Context, sources, targets []*Schema) ([][]*Report, error) {
-	return e.matchAll(ctx, sources, targets, nil, "matchall",
+	return e.matchAll(ctx, sources, targets, nil, nil, "matchall",
 		slog.Int("sources", len(sources)), slog.Int("targets", len(targets)))
 }
 
-// matchAll is the one worker pool, behind MatchAll and the Rank family:
-// whole pairs are fanned across the engine's workers, and each pair runs
-// through the same instrumented path as a single Match. interner serves
-// compiled vocabularies (nil on the parse path). op names the batch in its
+// batchBudget bounds a batch's shared kernel: targets join a group while
+// its label and property planes hold at most this many entries, about
+// 9 MiB at 9 bytes per entry. It is a variable only so that tests can force
+// small groups.
+var batchBudget int64 = 1 << 20
+
+// matchAll is the one batch path, behind MatchAll and the Rank family.
+// Whole pairs are fanned across the engine's workers (core.FanOut), and
+// each pair runs through the same instrumented path as a single Match. For
+// the hybrid algorithm the targets are split, in call order, into groups
+// whose kernel fits batchBudget: each group's kernel is filled once, over
+// the union of the sources' vocabularies × the union of the group's, and
+// every pair of the group reads it through its two schemas' views. A
+// target over the budget alone fills its own kernels, as Match does. sv
+// and tv are the sources' and targets' vocabularies on the compiled path;
+// nil interns each schema once per call. op names the batch in its
 // start/complete/cancelled log lines, and attrs describe it there.
-func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, interner func(*xmltree.Node) *core.Interned, op string, attrs ...slog.Attr) ([][]*Report, error) {
+func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, sv, tv []*core.Interned, op string, attrs ...slog.Attr) ([][]*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -499,19 +522,10 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 	if jobs == 0 {
 		return out, ctx.Err()
 	}
-	workers := e.parallelism
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(e.parallelism, jobs))
 	// Whole pairs are the unit of parallelism; any worker-pool slack
 	// (fewer jobs than workers) goes to the inner pair-table pool.
-	inner := e.parallelism / workers
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(1, e.parallelism/workers)
 
 	if e.logger != nil {
 		e.logger.LogAttrs(ctx, slog.LevelDebug, op+" start", append(attrs,
@@ -520,41 +534,65 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 	e.em.workers.Set(int64(workers)) // nil-safe without Observer.Metrics
 	batchStart := time.Now()
 
-	type job struct{ i, j int }
-	ch := make(chan job)
-	go func() {
-		defer close(ch)
-		for i := range sources {
-			for j := range targets {
-				select {
-				case ch <- job{i, j}:
-				case <-ctx.Done():
-					return
-				}
+	// One matcher per worker number, borrowed on first use. Cancellation
+	// reaches into in-flight fills: a fill stops between levels and its
+	// trace span closes as partial instead of leaking open.
+	type worker struct {
+		alg     match.Algorithm
+		h       *core.Hybrid
+		release func()
+	}
+	ws := make([]worker, workers)
+	borrow := func(w int) *worker {
+		if ws[w].alg == nil {
+			ws[w].alg, ws[w].h, ws[w].release = e.algorithm(ctx, inner)
+		}
+		return &ws[w]
+	}
+	defer func() {
+		for _, w := range ws {
+			if w.release != nil {
+				w.release()
 			}
 		}
 	}()
 
-	var completed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Cancellation reaches into in-flight pair-table fills: the
-			// fill stops between levels and its trace span closes as
-			// partial instead of leaking open.
-			alg, h, release := e.algorithm(ctx, inner, interner)
-			defer release()
-			for jb := range ch {
-				rep, table := e.run(ctx, alg, h, nil, sources[jb.i], targets[jb.j])
-				table.Release() // nil for the baselines
-				out[jb.i][jb.j] = rep
-				completed.Add(1)
-			}
-		}()
+	var batch *core.Batch
+	if h := borrow(0).h; h != nil {
+		if sv == nil {
+			sv, tv = internAll(sources), internAll(targets)
+		}
+		batch = core.NewBatch(sv)
+		defer batch.Release()
 	}
-	wg.Wait()
+	var completed atomic.Int64
+	for lo, hi := 0, len(targets); lo < len(targets) && ctx.Err() == nil; lo = hi {
+		shared := false
+		if batch != nil {
+			if hi, shared = batch.Group(tv, lo, batchBudget); shared && !e.fillShared(ctx, ws[0].h, batch) {
+				break // cancelled
+			}
+		}
+		n := hi - lo
+		core.FanOut(workers, len(sources)*n, func(w, c int) bool {
+			if ctx.Err() != nil {
+				return false
+			}
+			i, j := c/n, lo+c%n
+			wk := borrow(w)
+			if wk.h != nil {
+				wk.h.View = core.KernelView{Src: sv[i], Tgt: tv[j]}
+				if shared {
+					wk.h.View = batch.View(i, j)
+				}
+			}
+			rep, table := e.run(ctx, wk.alg, wk.h, nil, sources[i], targets[j])
+			table.Release() // nil for the baselines
+			out[i][j] = rep
+			completed.Add(1)
+			return true
+		})
+	}
 	if err := ctx.Err(); err != nil {
 		e.em.cancelled.Add(int64(jobs) - completed.Load())
 		if e.logger != nil {
@@ -570,6 +608,37 @@ func (e *Engine) matchAll(ctx context.Context, sources, targets []*Schema, inter
 			slog.Duration("elapsed", time.Since(batchStart)))...)
 	}
 	return out, nil
+}
+
+// internAll interns each schema's vocabulary, once per batch call.
+func internAll(schemas []*Schema) []*core.Interned {
+	out := make([]*core.Interned, len(schemas))
+	for i, s := range schemas {
+		out[i] = core.Intern(s.root.Nodes())
+	}
+	return out
+}
+
+// fillShared fills the current group's kernel through h's name matcher
+// over the engine's workers, and reports false when ctx cut it short.
+// Observed, the fill is one intern span in its own trace, which goes to
+// ctx's trace sink before any cell's trace and is folded once into the
+// intern phase metrics.
+func (e *Engine) fillShared(ctx context.Context, h *core.Hybrid, b *core.Batch) bool {
+	if !e.tracing && !e.collect {
+		return b.Fill(h.Matcher, e.parallelism)
+	}
+	h.Trace = newTrace(ctx)
+	ok := b.Fill(h.Matcher, e.parallelism)
+	mt := h.Trace.Finish()
+	h.Trace = nil
+	if sink := obs.TraceSinkFromContext(ctx); sink != nil {
+		sink(mt)
+	}
+	if e.collect {
+		e.observePhases(mt)
+	}
+	return ok
 }
 
 // Rank matches one query schema against every schema of a corpus
@@ -588,7 +657,7 @@ func (e *Engine) Rank(query *Schema, corpus []*Schema) []Ranked {
 // ranked corpus has no meaningful order). A nil ctx is
 // context.Background(), under which RankContext is exactly Rank.
 func (e *Engine) RankContext(ctx context.Context, query *Schema, corpus []*Schema) ([]Ranked, error) {
-	rows, err := e.matchAll(ctx, []*Schema{query}, corpus, nil, "rank",
+	rows, err := e.matchAll(ctx, []*Schema{query}, corpus, nil, nil, "rank",
 		slog.String("query", query.Name()), slog.Int("corpus", len(corpus)))
 	if err != nil {
 		return nil, err

@@ -309,9 +309,11 @@ func TestRankCountsMatches(t *testing.T) {
 	}
 }
 
-// RankContext hands a ctx trace sink one finished match trace per corpus
-// schema, each rooted at a match span — what qmatchd grafts into the
-// request trace of /v1/rank and /v1/search.
+// RankContext hands a ctx trace sink the trace of the shared kernel's fill
+// first, one intern span over the query's vocabulary and the corpus'
+// union, then one finished match trace per corpus schema, each rooted at a
+// match span — what qmatchd grafts into the request trace of /v1/rank and
+// /v1/search.
 func TestRankContextTraceSink(t *testing.T) {
 	eng, err := qmatch.NewEngine(qmatch.WithObserver(qmatch.Observer{Metrics: true, Tracing: true}))
 	if err != nil {
@@ -328,12 +330,20 @@ func TestRankContextTraceSink(t *testing.T) {
 	if _, err := eng.RankContext(ctx, query, corpus); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != len(corpus) {
-		t.Fatalf("sink received %d traces, want %d", len(traces), len(corpus))
+	if len(traces) != len(corpus)+1 {
+		t.Fatalf("sink received %d traces, want %d", len(traces), len(corpus)+1)
 	}
-	for i, mt := range traces {
+	labels := map[string]bool{}
+	for _, n := range query.Tree().Nodes() {
+		labels[n.Label] = true
+	}
+	fill := traces[0].Spans
+	if len(fill) != 1 || fill[0].Phase != obs.PhaseIntern || fill[0].SrcNodes != len(labels) || fill[0].Cells == 0 {
+		t.Errorf("first trace is not the shared kernel's fill: %+v", fill)
+	}
+	for i, mt := range traces[1:] {
 		if len(mt.Spans) == 0 || mt.Spans[0].Phase != obs.PhaseMatch {
-			t.Errorf("trace %d is not rooted at a match span: %+v", i, mt.Spans)
+			t.Errorf("trace %d is not rooted at a match span: %+v", i+1, mt.Spans)
 		}
 	}
 }

@@ -253,15 +253,18 @@ func Encode(w io.Writer, c *Compiled) error {
 // cannot balloon memory before the checksum is even checked.
 const maxPayload = 64 << 20
 
-// Decode reads an artifact written by Encode, verifying version and
-// checksum before trusting a single payload byte. Failure modes map to
-// the package's sentinel errors (errors.Is):
+// Decode reads one whole artifact written by Encode, verifying version and
+// checksum before trusting a single payload byte, and reads r to its end:
+// a byte after the payload makes the stream malformed, so every accepted
+// stream re-encodes to itself. Failure modes map to the package's sentinel
+// errors (errors.Is):
 //
 //	ErrMagic      not an artifact stream
 //	ErrVersion    format version this build does not speak
 //	ErrTruncated  stream ends inside header or payload
 //	ErrChecksum   payload does not hash to the header sum
-//	ErrMalformed  payload checksums but violates the grammar
+//	ErrMalformed  payload checksums but violates the grammar, or bytes
+//	              follow the payload
 func Decode(r io.Reader) (*Compiled, error) {
 	var hdr [4 + 2 + 32 + 8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -281,6 +284,11 @@ func Decode(r io.Reader) (*Compiled, error) {
 	payload := make([]byte, paylen)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
+	}
+	if n, err := io.ReadFull(r, hdr[:1]); n > 0 {
+		return nil, fmt.Errorf("%w: bytes after the %d-byte payload", ErrMalformed, paylen)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("artifact: decode: %w", err)
 	}
 	sum := sha256.Sum256(payload)
 	if sum != [32]byte(hdr[6:38]) {

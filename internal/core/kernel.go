@@ -266,7 +266,7 @@ func (k *simKernel) fill(m *Matcher, b *kernelBuffers, par int) bool {
 	nl, nt := len(k.src.Labels), len(k.tgt.Labels)
 	rows := nl + len(k.src.Props)
 	b.overlap = grow(b.overlap, max(1, min(par, rows))*nt)
-	fanOut(par, rows, func(w, i int) bool {
+	FanOut(par, rows, func(w, i int) bool {
 		if m.aborted() {
 			return false
 		}

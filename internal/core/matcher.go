@@ -56,13 +56,12 @@ type Matcher struct {
 	// far. Nil — the default — never aborts. The Engine wires this to each
 	// call's ctx.Done().
 	Done <-chan struct{}
-	// Interner resolves a precompiled per-side vocabulary for a tree root.
-	// Nil (the default), a nil return, or an Interned whose node count
-	// disagrees with the tree fall back to interning at match entry.
-	// The Engine's compiled-schema path installs a lookup over the
-	// CompiledSchema artifacts of the current call, skipping the intern
-	// walk for schemas compiled once up front.
-	Interner func(root *xmltree.Node) *Interned
+	// View supplies the two trees' vocabularies and, from a batch, a
+	// shared kernel to read (see KernelView). The zero value — the default
+	// — interns both sides at match entry and scores a kernel per call.
+	// The Engine installs the artifacts' vocabularies on the compiled path,
+	// and one view per cell in a batch.
+	View KernelView
 }
 
 // parallelCutoff is the minimum pair-table size (cells) worth fanning out;
@@ -244,34 +243,49 @@ func (m *Matcher) Tree(src, tgt *xmltree.Node) *Result {
 	return r
 }
 
-// buildKernel interns both sides of r (or takes the Interner's precompiled
-// vocabularies) and fills the similarity kernel over par workers, under the
-// intern span. cells is how many pair-table cells the caller goes on to
-// compute: the dense kernel scores every label pair up front, which only
-// amortizes when those cells outnumber the label pairs. A full fill always
-// does (a side has no more distinct labels than nodes); a re-match that
-// rescores a handful of columns does not, and leaves r.kern nil so that
-// computeCols scores its cells through the name matcher directly. A kernel
-// that Done cuts short is dropped (r.kern stays nil, so no cell ever reads
-// an unscored entry) and the intern span is marked partial.
+// buildKernel interns both sides of r (or takes the View's vocabularies)
+// and fills the similarity kernel over par workers, under the intern span.
+// A View whose shared kernel covers both trees is read instead: the cell
+// scores nothing, its span reports no kernel entries, and r never returns
+// the shared planes to the pool. cells is how many pair-table cells the
+// caller goes on to compute: the dense kernel scores every label pair up
+// front, which only amortizes when those cells outnumber the label pairs.
+// A full fill always does (a side has no more distinct labels than nodes);
+// a re-match that rescores a handful of columns does not, and leaves r.kern
+// nil so that computeCols scores its cells through the name matcher
+// directly. A kernel that Done cuts short is dropped (r.kern stays nil, so
+// no cell ever reads an unscored entry) and the intern span is marked
+// partial.
 func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
 	sp := m.Trace.StartSpan(obs.PhaseIntern)
-	var si, ti *Interned
+	v := m.View
+	si, ti := v.Src, v.Tgt
 	partial := false
-	pprof.Do(context.Background(), r.profileLabels("kernel"), func(context.Context) {
-		si, ti = m.interned(r.Source, r.srcNodes), m.interned(r.Target, r.tgtNodes)
-		if cells >= int64(len(si.Labels))*int64(len(ti.Labels)) {
-			r.kbuf = kernelPool.Get().(*kernelBuffers)
-			r.kern = newKernelFrom(si, ti, r.kbuf)
-			if !r.kern.fill(m, r.kbuf, par) {
-				r.releaseKernel()
-				partial = true
+	if v.shared != nil && fits(si, r.srcNodes) && fits(ti, r.tgtNodes) {
+		k := *v.shared
+		k.src, k.tgt = si, ti
+		r.kern = &k
+	} else {
+		pprof.Do(context.Background(), r.profileLabels("kernel"), func(context.Context) {
+			if !fits(si, r.srcNodes) {
+				si = Intern(r.srcNodes)
 			}
-		}
-	})
+			if !fits(ti, r.tgtNodes) {
+				ti = Intern(r.tgtNodes)
+			}
+			if cells >= int64(len(si.Labels))*int64(len(ti.Labels)) {
+				r.kbuf = kernelPool.Get().(*kernelBuffers)
+				r.kern = newKernelFrom(si, ti, r.kbuf)
+				if !r.kern.fill(m, r.kbuf, par) {
+					r.releaseKernel()
+					partial = true
+				}
+			}
+		})
+	}
 	if sp != nil {
 		sp.SetNodes(len(si.Labels), len(ti.Labels))
-		if r.kern != nil {
+		if r.kbuf != nil {
 			sp.SetCells(r.kern.logicalCells())
 		}
 		sp.SetWorkers(par)
@@ -288,20 +302,6 @@ func (m *Matcher) buildKernel(r *Result, cells int64, par int) {
 // them, so one pprof.Do per phase covers its whole worker pool.
 func (r *Result) profileLabels(phase string) pprof.LabelSet {
 	return pprof.Labels("qmatch_workload", r.Source.Label+"->"+r.Target.Label, "qmatch_phase", phase)
-}
-
-// interned resolves the vocabulary of one side: the Interner's
-// precompiled value when one is installed and consistent with the tree,
-// otherwise a fresh interning of the node list. The consistency check
-// (node count) guards against an interner serving a stale artifact for a
-// since-mutated tree.
-func (m *Matcher) interned(root *xmltree.Node, nodes []*xmltree.Node) *Interned {
-	if m.Interner != nil {
-		if in := m.Interner(root); in != nil && len(in.LabelID) == len(nodes) {
-			return in
-		}
-	}
-	return Intern(nodes)
 }
 
 // aborted reports whether the Done signal has fired. Checked between
@@ -346,12 +346,12 @@ func (m *Matcher) parallelism() int {
 	}
 }
 
-// fanOut calls do(w, i) for every i in [0, n) across up to par
+// FanOut calls do(w, i) for every i in [0, n) across up to par
 // goroutines, each claiming the next unclaimed index, and returns once all
 // have finished. w is the calling worker's number, below min(par, n), so
 // do can index per-worker scratch by it. A worker stops claiming when do
 // reports false. At one worker it runs inline on the calling goroutine.
-func fanOut(par, n int, do func(w, i int) bool) {
+func FanOut(par, n int, do func(w, i int) bool) {
 	if par > n {
 		par = n
 	}
@@ -402,7 +402,7 @@ func (tw *treeWorker) sweepRows() bool {
 // pairs whose source is a child of s — a strictly smaller subtree — so the
 // rows are grouped by source-subtree height, ascending, and the rows of one
 // level, independent of each other, are fanned out across par workers.
-// fanOut returning is the barrier that makes every lower level's cells
+// FanOut returning is the barrier that makes every lower level's cells
 // visible before the next level reads them. Each level gets a child span of
 // sp: the per-level breakdown shows which stratum dominates (the wide leaf
 // levels of a bushy schema vs the few expensive rows near the root). The
@@ -439,7 +439,7 @@ func (tw *treeWorker) sweepLevels(par int, sp *obs.ActiveSpan) bool {
 		lsp.SetNodes(len(level), len(r.tgtNodes))
 		lsp.SetCells(int64(len(level)) * int64(len(r.tgtNodes)))
 		lsp.SetWorkers(min(par, len(level)))
-		fanOut(par, len(level), func(_, k int) bool {
+		FanOut(par, len(level), func(_, k int) bool {
 			if m.aborted() {
 				return false
 			}

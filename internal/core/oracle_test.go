@@ -147,9 +147,10 @@ func checkOracle(t *testing.T, name string, o *oracle, r *Result) {
 
 // FuzzPairTable draws synthetic schema pairs past the parallel cutoff and
 // checks every fill path cell by cell against the paper oracle: Tree at
-// every worker count, the compiled-vocabulary path, a warm arena refill,
-// and a three-generation incremental re-match chain alternating the
-// evolving side. Sizes are bounded so one input runs well under a second.
+// every worker count, the compiled-vocabulary path, three targets read
+// through views of one shared batch kernel, a warm arena refill, and a
+// three-generation incremental re-match chain alternating the evolving
+// side. Sizes are bounded so one input runs well under a second.
 // The seed corpus lives in testdata/fuzz/FuzzPairTable.
 func FuzzPairTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, intensity uint8) {
@@ -171,10 +172,39 @@ func FuzzPairTable(f *testing.F) {
 			checkOracle(t, fmt.Sprintf("Tree at parallelism %d", par), o, m.Tree(src, tgt))
 		}
 
-		compiled := map[*xmltree.Node]*Interned{src: Intern(src.Nodes()), tgt: Intern(tgt.Nodes())}
+		si := Intern(src.Nodes())
 		m := NewMatcher(nil)
-		m.Interner = func(root *xmltree.Node) *Interned { return compiled[root] }
+		m.View = KernelView{Src: si, Tgt: Intern(tgt.Nodes())}
 		checkOracle(t, "compiled", o, m.Tree(src, tgt))
+
+		// One kernel over the source × the union of three targets: the
+		// derived target and two more derivations at other intensities.
+		// Each target's fill reads it through its view.
+		targets := []*xmltree.Node{tgt}
+		for k := int64(1); k <= 2; k++ {
+			more, _ := synth.Derive(src, synth.Uniform(seed+1+k, float64((int64(intensity)+17*k)%51)/100))
+			targets = append(targets, more)
+		}
+		tv := make([]*Interned, len(targets))
+		for j, tn := range targets {
+			tv[j] = Intern(tn.Nodes())
+		}
+		for _, par := range []int{1, 2} {
+			m := NewMatcher(nil)
+			m.Parallelism = par
+			b := NewBatch([]*Interned{si})
+			if hi, ok := b.Group(tv, 0, 1<<40); hi != len(tv) || !ok {
+				t.Fatalf("group = (%d, %v), want all %d targets", hi, ok, len(tv))
+			}
+			if !b.Fill(m, par) {
+				t.Fatal("shared kernel fill cut short")
+			}
+			for j, tn := range targets {
+				m.View = b.View(0, j)
+				checkOracle(t, fmt.Sprintf("shared kernel at parallelism %d, target %d", par, j), o, m.Tree(src, tn))
+			}
+			b.Release()
+		}
 
 		m = NewMatcher(nil)
 		m.Tree(src, tgt).Release()

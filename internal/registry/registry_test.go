@@ -132,9 +132,10 @@ func TestDiskPersistence(t *testing.T) {
 	}
 }
 
-// A blob truncated at any offset (a crash mid-Put) costs Open that entry
-// alone: the blob is renamed aside as .corrupt and reported, the other two
-// entries load, and stale .put-* temp files are removed.
+// A blob truncated at any offset (a crash mid-Put), or with a byte
+// appended, costs Open that entry alone: the blob is renamed aside as
+// .corrupt and reported, the other two entries load, and stale .put-* temp
+// files are removed.
 func TestOpenQuarantinesTruncatedBlob(t *testing.T) {
 	dir := t.TempDir()
 	reg, err := Open(dir)
@@ -155,22 +156,27 @@ func TestOpenQuarantinesTruncatedBlob(t *testing.T) {
 	if err := os.WriteFile(stale, blob[:7], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	torn := make([][]byte, 0, len(blob)+1)
 	for n := 0; n < len(blob); n++ {
-		if err := os.WriteFile(path, blob[:n], 0o644); err != nil {
+		torn = append(torn, blob[:n])
+	}
+	torn = append(torn, append(append([]byte(nil), blob...), '0'))
+	for _, bad := range torn {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		reopened, err := Open(dir)
 		if err != nil {
-			t.Fatalf("truncated at %d of %d bytes: Open: %v", n, len(blob), err)
+			t.Fatalf("%d of %d bytes: Open: %v", len(bad), len(blob), err)
 		}
 		if reopened.Len() != 2 || !reopened.Has("po1") || !reopened.Has("po2") {
-			t.Fatalf("truncated at %d: loaded %+v, want po1 and po2", n, reopened.List())
+			t.Fatalf("%d of %d bytes: loaded %+v, want po1 and po2", len(bad), len(blob), reopened.List())
 		}
 		if q := reopened.Quarantined(); len(q) != 1 || q[0] != path+".corrupt" {
-			t.Fatalf("truncated at %d: quarantined %v, want [%s.corrupt]", n, q, path)
+			t.Fatalf("%d of %d bytes: quarantined %v, want [%s.corrupt]", len(bad), len(blob), q, path)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("truncated at %d: blob left in place (stat err %v)", n, err)
+			t.Fatalf("%d of %d bytes: blob left in place (stat err %v)", len(bad), len(blob), err)
 		}
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {

@@ -210,8 +210,8 @@ func (s *Server) handleListSchemas(w http.ResponseWriter, _ *http.Request) {
 
 // handleSearch runs the corpus search under the same admission control as
 // the matching endpoints — the full-rank stage is real match work — and,
-// when tracing is requested, reports the pipeline as compile and
-// prefilter phase spans alongside the search stats.
+// when tracing is requested, reports the pipeline as compile, prefilter
+// and rank phase spans alongside the search stats.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
 	if !decode(w, r, &req) {
@@ -256,6 +256,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 						SrcNodes: compiled.Size()},
 					{Phase: "prefilter", StartNs: compileNs, DurationNs: stats.PrefilterNs,
 						Cells: int64(stats.Corpus), Selected: stats.Candidates},
+					{Phase: "rank", StartNs: compileNs + stats.PrefilterNs, DurationNs: stats.RankNs,
+						Cells: int64(stats.Candidates)},
 				},
 			}
 		}

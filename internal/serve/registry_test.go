@@ -153,9 +153,14 @@ func TestSearchEndpoint(t *testing.T) {
 	if len(sr.Results[0].Correspondences) == 0 {
 		t.Error("winner carries no correspondences")
 	}
-	if sr.Trace == nil || len(sr.Trace.Spans) != 2 ||
-		sr.Trace.Spans[0].Phase != "compile" || sr.Trace.Spans[1].Phase != "prefilter" {
-		t.Errorf("trace = %+v, want compile + prefilter spans", sr.Trace)
+	if sr.Trace == nil || len(sr.Trace.Spans) != 3 ||
+		sr.Trace.Spans[0].Phase != "compile" || sr.Trace.Spans[1].Phase != "prefilter" ||
+		sr.Trace.Spans[2].Phase != "rank" {
+		t.Fatalf("trace = %+v, want compile + prefilter + rank spans", sr.Trace)
+	}
+	if rank, pre := sr.Trace.Spans[2], sr.Trace.Spans[1]; rank.StartNs != pre.StartNs+pre.DurationNs ||
+		rank.DurationNs != sr.Stats.RankNs || rank.Cells != int64(sr.Stats.Candidates) {
+		t.Errorf("rank span = %+v, want it to start where prefilter ends and carry RankNs and the candidate count", rank)
 	}
 
 	// k=1 ranks only the overlap winner.

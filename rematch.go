@@ -104,7 +104,7 @@ func (e *Engine) Rematch(prev *Report, old, new *CompiledSchema) (*Report, error
 
 	h, release := e.hybrid(e.parallelism)
 	defer release()
-	h.Interner = compiledInterner(srcCS, tgtCS)
+	h.View = core.KernelView{Src: srcCS.art.Interned, Tgt: tgtCS.art.Interned}
 	start := time.Now()
 	var r *core.Result
 	var stats core.RematchStats
