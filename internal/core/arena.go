@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"qmatch/internal/lingo"
 	"qmatch/internal/xmltree"
 )
 
@@ -41,15 +42,15 @@ type tableBuffers struct {
 }
 
 // kernelBuffers holds the kernel's score/kind planes (see simKernel) and
-// the kernel fill's scratch: one trigram-overlap row per worker and the
-// type table.
+// the kernel fill's scratch: one label-row scratch per worker and the type
+// table.
 type kernelBuffers struct {
-	lScore  []float64
-	lKind   []uint8
-	pScore  []float64
-	pKind   []uint8
-	overlap []int32
-	types   typeTable
+	lScore []float64
+	lKind  []uint8
+	pScore []float64
+	pKind  []uint8
+	rows   []lingo.RowScratch
+	types  typeTable
 }
 
 var (

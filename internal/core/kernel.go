@@ -160,10 +160,10 @@ func (k *simKernel) propAt(i, j int) (float64, lingo.Kind) {
 }
 
 // fillLabelRow scores row i of the label matrix through the batch scorer,
-// with common as the row's trigram-overlap scratch. The scorer reports
-// only the pairs that match, so the row is first zeroed to (0, None), one
-// tile's run of columns at a time.
-func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, i int, common []int32) {
+// with sc as the row's scratch. The scorer reports only the pairs that
+// match, so the row is first zeroed to (0, None), one tile's run of
+// columns at a time.
+func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, i int, sc *lingo.RowScratch) {
 	nt := len(k.tgt.Labels)
 	for j := 0; j < nt; j += tileCMask + 1 {
 		lo := k.lb.idx(int32(i), int32(j))
@@ -171,7 +171,7 @@ func (k *simKernel) fillLabelRow(ks *lingo.KernelScorer, i int, common []int32) 
 		clear(k.labelScore[lo:hi])
 		clear(k.labelKind[lo:hi])
 	}
-	ks.ScoreRow(int32(i), common, func(j int32, s float64, kind lingo.Kind) {
+	ks.ScoreRow(int32(i), sc, func(j int32, s float64, kind lingo.Kind) {
 		idx := k.lb.idx(int32(i), j)
 		k.labelScore[idx], k.labelKind[idx] = s, uint8(kind)
 	})
@@ -249,7 +249,7 @@ func (tt *typeTable) assign(ids []int32, props []xmltree.Properties) []int32 {
 // (inline on the calling goroutine at one). The batch scorer and the type
 // table are built once on the calling goroutine (construction mutates the
 // matcher's memos) and then shared read-only, so workers need no matcher
-// clones; each worker takes its own overlap row from b. Rows are
+// clones; each worker takes its own label-row scratch from b. Rows are
 // independent and every entry is a pure function of its two vocabulary
 // entries, so every worker count fills the same matrices. Nothing carries
 // label scores from one match to the next: a shared memo's lookup costs
@@ -263,15 +263,15 @@ func (k *simKernel) fill(m *Matcher, b *kernelBuffers, par int) bool {
 	}
 	defer ks.Release()
 	b.types.build(k.src.Props, k.tgt.Props)
-	nl, nt := len(k.src.Labels), len(k.tgt.Labels)
+	nl := len(k.src.Labels)
 	rows := nl + len(k.src.Props)
-	b.overlap = grow(b.overlap, max(1, min(par, rows))*nt)
+	b.rows = grow(b.rows, max(1, min(par, rows)))
 	FanOut(par, rows, func(w, i int) bool {
 		if m.aborted() {
 			return false
 		}
 		if i < nl {
-			k.fillLabelRow(ks, i, b.overlap[w*nt:(w+1)*nt])
+			k.fillLabelRow(ks, i, &b.rows[w])
 		} else {
 			k.fillPropRow(&b.types, i-nl)
 		}

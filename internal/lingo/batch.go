@@ -1,6 +1,9 @@
 package lingo
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // KernelScorer batch-scores every label pair of two vocabularies — the
 // linguistic engine behind internal/core's similarity kernel. Where
@@ -8,7 +11,7 @@ import "sync"
 // lookup per token pair per label pair), the scorer observes that a kernel
 // fill compares *every* source label against *every* target label, so it
 // resolves the feature vectors of both vocabularies once and precomputes
-// three things up front:
+// four things up front:
 //
 //   - the dense token-similarity matrix, so token aggregation is pure array
 //     arithmetic. Its string-similarity step takes each token pair's
@@ -20,12 +23,15 @@ import "sync"
 //   - an inverted index from trigram hash to the target labels holding it,
 //     so one scan per source label yields its exact trigram overlap with
 //     every target label, where a per-pair Dice merge would walk both gram
-//     lists.
+//     lists;
+//   - candidate generators over the target labels, one per step of the
+//     decision chain, so a row visits only the columns some step can
+//     accept (see markCandidates).
 //
-// Almost every label pair of a schema pair scores (0, None); the bounds
-// and the index make proving that cheap. ScoreRow runs the decision chain
-// of NameMatcher.MatchFeatures over one source label and produces
-// bit-identical results.
+// Almost every label pair of a schema pair scores (0, None); the bounds,
+// the index and the generators make proving that cheap. ScoreRow runs the
+// decision chain of NameMatcher.MatchFeatures over one source label and
+// produces bit-identical results.
 //
 // Construction mutates the owning NameMatcher's memo caches and must
 // happen on one goroutine; a constructed scorer is read-only, so any
@@ -57,14 +63,38 @@ type KernelScorer struct {
 	// tokens'; tokCommon is the token matrix's overlap row.
 	grams, tokGrams gramIndex
 	tokCommon       []int32
-	// gramKeys maps a gram hash to its key id in both indexes.
-	gramKeys map[uint64]int32
+	// gramKeys maps a gram hash to its key id in both gram indexes.
+	gramKeys keyTable
 
 	// loc maps the matcher's global token ids to matrix-local ones (-1
 	// when absent); every entry is -1 between builds. srcGlob/tgtGlob map
 	// local ids back to global ones.
 	loc              []int32
 	srcGlob, tgtGlob []int32
+
+	// The candidate generators over the target labels (see
+	// markCandidates): indexes of the hashes of their singular forms,
+	// normal forms and acronyms, keyed through formKeys; the thesaurus
+	// terms; the possible abbreviations, bucketed by first byte; postings
+	// from each target token to the labels holding it; and each label's
+	// gram count.
+	bySing, byNorm, byAcro gramIndex
+	formKeys               keyTable
+	knownTgt               []int32
+	abbrOff                [abbrKeys + 1]int32
+	abbrPost               []abbrPosting
+	tokOff, tokLabels      []int32
+	tgtGrams               []int32
+}
+
+// RowScratch is one worker's scratch for ScoreRow: the row's trigram
+// overlap per target label, and two bitmaps over the target labels, the
+// candidates and those holding a covered token. The zero value is ready
+// to use; ScoreRow sizes it, and its contents between calls are
+// unspecified.
+type RowScratch struct {
+	common    []int32
+	cand, cov []uint64
 }
 
 var scorerPool = sync.Pool{New: func() any { return new(KernelScorer) }}
@@ -111,11 +141,8 @@ func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan
 	clear(ks.tokCov)
 	ks.sims = resize(ks.sims, ns*nt)
 	ks.exact = resize(ks.exact, ns*nt)
-	if ks.gramKeys == nil {
-		ks.gramKeys = make(map[uint64]int32)
-	}
-	clear(ks.gramKeys)
-	ks.tokGrams.build(ks.gramKeys, nt, func(j int) []uint64 { return m.tokFeats[ks.tgtGlob[j]].grams })
+	ks.gramKeys.reset()
+	ks.tokGrams.build(&ks.gramKeys, nt, func(j int) []uint64 { return m.tokFeats[ks.tgtGlob[j]].grams })
 	ks.tokCommon = resize(ks.tokCommon, nt)
 	for i, ga := range ks.srcGlob {
 		select {
@@ -125,7 +152,7 @@ func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan
 		default:
 		}
 		fa := &m.tokFeats[ga]
-		ks.tokGrams.overlap(ks.gramKeys, fa.grams, ks.tokCommon)
+		ks.tokGrams.overlap(&ks.gramKeys, fa.grams, ks.tokCommon)
 		row := i * nt
 		for j, gb := range ks.tgtGlob {
 			ts, ok := m.tokenFront(ga, gb)
@@ -147,8 +174,78 @@ func (m *NameMatcher) NewKernelScorer(srcLabels, tgtLabels []string, done <-chan
 	ks.srcCov = unionCov(ks.srcCov, ks.srcToks, ks.tokCov[:rowCov], ks.srcWords)
 	ks.tgtCov = unionCov(ks.tgtCov, ks.tgtToks, ks.tokCov[rowCov:], ks.tgtWords)
 
-	ks.grams.build(ks.gramKeys, len(ks.tgtF), func(j int) []uint64 { return ks.tgtF[j].grams })
+	ks.grams.build(&ks.gramKeys, len(ks.tgtF), func(j int) []uint64 { return ks.tgtF[j].grams })
+	ks.buildGenerators()
 	return ks
+}
+
+// buildGenerators indexes the target labels for markCandidates.
+func (ks *KernelScorer) buildGenerators() {
+	nt := len(ks.tgtF)
+	formOf := func(form int) func(j int) []uint64 {
+		return func(j int) []uint64 {
+			f := ks.tgtF[j]
+			if f.Norm == "" || form == formAcro && len(f.toks) < 2 {
+				return nil
+			}
+			return f.forms[form : form+1]
+		}
+	}
+	ks.formKeys.reset()
+	ks.bySing.build(&ks.formKeys, nt, formOf(formSing))
+	ks.byNorm.build(&ks.formKeys, nt, formOf(formNorm))
+	ks.byAcro.build(&ks.formKeys, nt, formOf(formAcro))
+
+	ks.knownTgt = ks.knownTgt[:0]
+	ks.tgtGrams = resize(ks.tgtGrams, nt)
+	clear(ks.abbrOff[:])
+	for j, f := range ks.tgtF {
+		if f.known {
+			ks.knownTgt = append(ks.knownTgt, int32(j))
+		}
+		ks.tgtGrams[j] = int32(len(f.grams))
+		if f.Norm != "" {
+			ks.abbrOff[abbrKey(f)]++
+		}
+	}
+
+	// Counting sorts place the postings: running sums turn counts into
+	// end offsets, and placing the labels backwards decrements each key's
+	// offset to its start, leaving postings in ascending label order.
+	ends(ks.abbrOff[:])
+	ks.abbrPost = resize(ks.abbrPost, int(ks.abbrOff[abbrKeys]))
+	for j := nt - 1; j >= 0; j-- {
+		if f := ks.tgtF[j]; f.Norm != "" {
+			k := abbrKey(f)
+			ks.abbrOff[k]--
+			ks.abbrPost[ks.abbrOff[k]] = abbrPosting{int32(j), int32(len(f.Norm)), f.mask, len(f.toks) == 1, f.irreg}
+		}
+	}
+
+	ks.tokOff = resize(ks.tokOff, ks.ntTok+1)
+	clear(ks.tokOff)
+	for _, ts := range ks.tgtToks {
+		for _, t := range ts {
+			ks.tokOff[t]++
+		}
+	}
+	ends(ks.tokOff)
+	ks.tokLabels = resize(ks.tokLabels, int(ks.tokOff[ks.ntTok]))
+	for j := nt - 1; j >= 0; j-- {
+		for _, t := range ks.tgtToks[j] {
+			ks.tokOff[t]--
+			ks.tokLabels[ks.tokOff[t]] = int32(j)
+		}
+	}
+}
+
+// ends turns per-key counts into end offsets by running sums.
+func ends(off []int32) {
+	sum := int32(0)
+	for k, c := range off {
+		sum += c
+		off[k] = sum
+	}
 }
 
 // Release drops the scorer's references to its matcher and labels and
@@ -219,13 +316,15 @@ func countCovered(toks []int32, cov []uint64) int {
 // ScoreRow scores the source label with vocabulary id si against every
 // target label, calling emit(tj, score, kind) for each pair that matches
 // (kind Relaxed or Exact), in ascending tj order; every pair it does not
-// emit scores (0, None). common is caller-owned scratch of at least one
-// entry per target label; concurrent calls need distinct scratch.
+// emit scores (0, None). sc is caller-owned scratch; concurrent calls need
+// distinct scratch.
 //
 // The decision chain mirrors NameMatcher.MatchFeatures step for step
 // (equality, thesaurus, acronym/abbreviation, token aggregation,
-// whole-string similarity) and produces bit-identical results. Two steps
-// take shortcuts that cannot change an outcome:
+// whole-string similarity) and produces bit-identical results. It runs
+// only on the candidate columns markCandidates yields, a superset of the
+// columns some step accepts. Two steps take further shortcuts that cannot
+// change an outcome:
 //
 //   - token aggregation runs only when the coverage bound reaches
 //     MatchThreshold. A token's best score is at most 1 and an uncovered
@@ -235,52 +334,155 @@ func countCovered(toks []int32, cov []uint64) int {
 //     counts, through the expression a completed diceSortedBounded merge
 //     evaluates. Where that merge would bail, the Dice is below 0.5 and
 //     simFromDice rejects it as the bail does.
-func (ks *KernelScorer) ScoreRow(si int32, common []int32, emit func(tj int32, score float64, kind Kind)) {
+func (ks *KernelScorer) ScoreRow(si int32, sc *RowScratch, emit func(tj int32, score float64, kind Kind)) {
 	m := ks.m
 	fa := ks.srcF[si]
 	if fa.Norm == "" {
 		return
 	}
-	ks.grams.overlap(ks.gramKeys, fa.grams, common[:len(ks.tgtF)])
+	ks.markCandidates(si, sc)
 	sa := ks.srcToks[si]
 	srcCov := ks.srcCov[int(si)*ks.srcWords : (int(si)+1)*ks.srcWords]
-	for j, fb := range ks.tgtF {
-		tj := int32(j)
-		if fb.Norm == "" {
-			continue
-		}
-		if fa.sing == fb.sing {
-			emit(tj, 1, Exact)
-			continue
-		}
-		if fa.known && fb.known {
-			switch m.Thesaurus.RelateNormalized(fa.Norm, fb.Norm) {
-			case RelSynonym:
+	for w, word := range sc.cand {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			tj, fb := int32(j), ks.tgtF[j]
+			if fb.Norm == "" {
+				continue
+			}
+			if fa.sing == fb.sing {
 				emit(tj, 1, Exact)
 				continue
-			case RelAcronym, RelHypernym, RelHyponym, RelRelated:
+			}
+			if fa.known && fb.known {
+				switch m.Thesaurus.RelateNormalized(fa.Norm, fb.Norm) {
+				case RelSynonym:
+					emit(tj, 1, Exact)
+					continue
+				case RelAcronym, RelHypernym, RelHyponym, RelRelated:
+					emit(tj, RelaxedScore, Relaxed)
+					continue
+				}
+			}
+			if m.abbrevMatch(fa.Norm, fb.Norm, fa.toks, fb.toks) {
 				emit(tj, RelaxedScore, Relaxed)
 				continue
 			}
-		}
-		if m.abbrevMatch(fa.Norm, fb.Norm, fa.toks, fb.toks) {
-			emit(tj, RelaxedScore, Relaxed)
-			continue
-		}
-		if sb := ks.tgtToks[tj]; ks.coverageReaches(srcCov, j, sa, sb) {
-			score, allExact, fullCover := ks.aggregate(sa, sb)
-			if score >= MatchThreshold {
-				if allExact && fullCover && score >= 0.999 {
-					emit(tj, score, Exact)
-				} else {
-					emit(tj, score, Relaxed)
+			if sb := ks.tgtToks[tj]; ks.coverageReaches(srcCov, j, sa, sb) {
+				score, allExact, fullCover := ks.aggregate(sa, sb)
+				if score >= MatchThreshold {
+					if allExact && fullCover && score >= 0.999 {
+						emit(tj, score, Exact)
+					} else {
+						emit(tj, score, Relaxed)
+					}
+					continue
 				}
-				continue
+			}
+			tg := 2 * float64(sc.common[j]) / float64(len(fa.grams)+len(fb.grams))
+			if ws, ok := simFromDice(fa.runes, fb.runes, tg); ok {
+				emit(tj, ws, Relaxed)
 			}
 		}
-		tg := 2 * float64(common[j]) / float64(len(fa.grams)+len(fb.grams))
-		if ws, ok := simFromDice(fa.runes, fb.runes, tg); ok {
-			emit(tj, ws, Relaxed)
+	}
+}
+
+// markCandidates sizes sc for the target vocabulary, writes source label
+// si's trigram overlap with every target label into sc.common, and sets in
+// sc.cand the bit of every target label that some step of ScoreRow's chain
+// can accept; si's normal form is non-empty. Each step has a generator
+// that yields every column the step accepts:
+//
+//   - equal singular forms: the targets whose singular form hashes as
+//     si's does (a collision of distinct forms only adds a candidate);
+//   - thesaurus: every thesaurus-term target, when si is a term; the step
+//     runs only when both sides are;
+//   - acronym: the targets whose acronym hashes as si's normal form does,
+//     and those whose normal form hashes as si's acronym does.
+//     abbrevMatch's acronym test compares the shorter normal form byte by
+//     byte with the first bytes of the longer label's noise-stripped
+//     tokens, two or more, and the acronym hash is that byte string's;
+//   - abbreviation: the targets whose normal form starts with si's first
+//     byte and differs in length, where the longer side is one token, the
+//     shorter at least two bytes, and every byte of the shorter occurs in
+//     the longer (the byte masks), unless the shorter is an irregular
+//     key. isAbbreviationLower demands the length, first-byte and
+//     irregular-key conditions outright; otherwise the shorter form is a
+//     rune subsequence of the longer, or a prefix of its consonant
+//     skeleton, and normal forms are valid UTF-8, so its bytes all occur
+//     in the longer;
+//   - token aggregation: the targets that hold a target token set in si's
+//     coverage bitset (the union of those tokens' postings) and pass
+//     coverageReaches. The step runs only where coverageReaches holds, and
+//     that needs such a token (covB > 0);
+//   - whole-string similarity: the targets with 4·common ≥ |ga|+|gb|.
+//     That is simFromDice's (1+tg)/2 ≥ StringSimFloor for every gram count
+//     below 2⁵⁰: at 4·common ≥ |ga|+|gb| the Dice is at least 0.5
+//     exactly, and below it the Dice is at most 0.5 − 1/(2(|ga|+|gb|)), a
+//     gap wider than the rounding of tg, 1+tg and /2.
+func (ks *KernelScorer) markCandidates(si int32, sc *RowScratch) {
+	fa := ks.srcF[si]
+	nt := len(ks.tgtF)
+	sc.common = resize(sc.common, nt)
+	sc.cand = resize(sc.cand, (nt+63)>>6)
+	sc.cov = resize(sc.cov, len(sc.cand))
+	ks.grams.overlap(&ks.gramKeys, fa.grams, sc.common)
+
+	// One dense pass marks the whole-string candidates a bitmap word at a
+	// time.
+	ga := len(fa.grams)
+	for w := range sc.cand {
+		var word uint64
+		for b, j := 0, w<<6; b < 64 && j < nt; b, j = b+1, j+1 {
+			if 4*int(sc.common[j]) >= ga+int(ks.tgtGrams[j]) {
+				word |= 1 << b
+			}
+		}
+		sc.cand[w] = word
+	}
+
+	clear(sc.cov)
+	srcCov := ks.srcCov[int(si)*ks.srcWords : (int(si)+1)*ks.srcWords]
+	for w, word := range srcCov {
+		for ; word != 0; word &= word - 1 {
+			t := w<<6 | bits.TrailingZeros64(word)
+			for _, j := range ks.tokLabels[ks.tokOff[t]:ks.tokOff[t+1]] {
+				sc.cov[j>>6] |= 1 << (j & 63)
+			}
+		}
+	}
+	sa := ks.srcToks[si]
+	for w, word := range sc.cov {
+		for word &^= sc.cand[w]; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			if ks.coverageReaches(srcCov, j, sa, ks.tgtToks[j]) {
+				sc.cand[w] |= 1 << (j & 63)
+			}
+		}
+	}
+
+	ks.bySing.mark(&ks.formKeys, fa.forms[formSing], sc.cand)
+	ks.byAcro.mark(&ks.formKeys, fa.forms[formNorm], sc.cand)
+	if len(fa.toks) >= 2 {
+		ks.byNorm.mark(&ks.formKeys, fa.forms[formAcro], sc.cand)
+	}
+	if fa.known {
+		for _, j := range ks.knownTgt {
+			sc.cand[j>>6] |= 1 << (j & 63)
+		}
+	}
+	// Single-token targets lead each first-byte bucket; a source of more
+	// than one token can only be the shorter side, so it reads just those.
+	na, single := int32(len(fa.Norm)), len(fa.toks) == 1
+	k := int(fa.Norm[0]) << 1
+	end := ks.abbrOff[k+1]
+	if single {
+		end = ks.abbrOff[k+2]
+	}
+	for _, p := range ks.abbrPost[ks.abbrOff[k]:end] {
+		if p.n > na && p.single && na >= 2 && (fa.irreg || fa.mask&^p.mask == 0) ||
+			p.n < na && single && p.n >= 2 && (p.irreg || p.mask&^fa.mask == 0) {
+			sc.cand[p.label>>6] |= 1 << (p.label & 63)
 		}
 	}
 }
@@ -359,10 +561,35 @@ func (ks *KernelScorer) directionTgt(from, to []int32, allExact, fullCover *bool
 	return total / float64(len(from))
 }
 
-// gramIndex is an inverted index from trigram hash to the labels (or
-// tokens) holding it, in compressed sparse row form: the gram with key id
-// k has the postings post[off[k]:off[k+1]], in ascending label order. The
-// key ids come from a map that several indexes may share.
+// abbrKeys is the number of abbreviation buckets: one per first byte of a
+// normal form, split into single-token and multi-token labels.
+const abbrKeys = 512
+
+// abbrKey returns the abbreviation bucket of a label with a non-empty
+// normal form: two per first byte, the single-token labels' bucket first.
+func abbrKey(f *LabelFeatures) int {
+	k := int(f.Norm[0]) << 1
+	if len(f.toks) != 1 {
+		k++
+	}
+	return k
+}
+
+// abbrPosting is one target label in an abbreviation bucket, with what the
+// abbreviation generator tests: its normal form's length and byte mask,
+// whether it is one token, and whether its normal form is an irregular
+// key.
+type abbrPosting struct {
+	label, n      int32
+	mask          uint64
+	single, irreg bool
+}
+
+// gramIndex is an inverted index from trigram hash (or label-form hash)
+// to the labels (or tokens) holding it, in compressed sparse row form: the
+// gram with key id k has the postings post[off[k]:off[k+1]], in ascending
+// label order. The key ids come from a keyTable that several indexes may
+// share.
 type gramIndex struct {
 	off  []int32
 	post []gramPosting
@@ -377,7 +604,7 @@ type gramRun struct{ key, label, mult int32 }
 
 // build indexes n sorted gram multisets, gramsOf(l) being label l's,
 // adding to keys every gram it lacks.
-func (x *gramIndex) build(keys map[uint64]int32, n int, gramsOf func(l int) []uint64) {
+func (x *gramIndex) build(keys *keyTable, n int, gramsOf func(l int) []uint64) {
 	x.runs = x.runs[:0]
 	for l := range n {
 		g := gramsOf(l)
@@ -386,12 +613,7 @@ func (x *gramIndex) build(keys map[uint64]int32, n int, gramsOf func(l int) []ui
 			for j < len(g) && g[j] == g[i] {
 				j++
 			}
-			k, ok := keys[g[i]]
-			if !ok {
-				k = int32(len(keys))
-				keys[g[i]] = k
-			}
-			x.runs = append(x.runs, gramRun{k, int32(l), int32(j - i)})
+			x.runs = append(x.runs, gramRun{keys.add(g[i]), int32(l), int32(j - i)})
 			i = j
 		}
 	}
@@ -399,17 +621,13 @@ func (x *gramIndex) build(keys map[uint64]int32, n int, gramsOf func(l int) []ui
 	// end offsets; placing the runs backwards decrements each key's
 	// offset to its start and leaves its postings in ascending label
 	// order.
-	x.off = resize(x.off, len(keys)+1)
+	x.off = resize(x.off, int(keys.n)+1)
 	clear(x.off)
 	for _, run := range x.runs {
 		x.off[run.key]++
 	}
-	sum := int32(0)
-	for k, c := range x.off {
-		sum += c
-		x.off[k] = sum
-	}
-	x.post = resize(x.post, int(sum))
+	ends(x.off)
+	x.post = resize(x.post, int(x.off[keys.n]))
 	for r := len(x.runs) - 1; r >= 0; r-- {
 		run := x.runs[r]
 		x.off[run.key]--
@@ -419,8 +637,8 @@ func (x *gramIndex) build(keys map[uint64]int32, n int, gramsOf func(l int) []ui
 
 // overlap writes into common, per indexed label, the size of the multiset
 // intersection of its grams with the sorted multiset g: the count a
-// diceSortedBounded merge of the two reaches. keys is the map build used.
-func (x *gramIndex) overlap(keys map[uint64]int32, g []uint64, common []int32) {
+// diceSortedBounded merge of the two reaches. keys is the table build used.
+func (x *gramIndex) overlap(keys *keyTable, g []uint64, common []int32) {
 	clear(common)
 	for i := 0; i < len(g); {
 		j := i + 1
@@ -428,13 +646,97 @@ func (x *gramIndex) overlap(keys map[uint64]int32, g []uint64, common []int32) {
 			j++
 		}
 		// Keys added after this index was built have no offsets in it.
-		if k, ok := keys[g[i]]; ok && int(k)+1 < len(x.off) {
+		if k, ok := keys.lookup(g[i]); ok && int(k)+1 < len(x.off) {
 			ma := int32(j - i)
 			for _, p := range x.post[x.off[k]:x.off[k+1]] {
 				common[p.label] += min(ma, p.mult)
 			}
 		}
 		i = j
+	}
+}
+
+// keyTable assigns dense key ids to 64-bit hashes: an open-addressed
+// table with linear probing, at most half full. A slot is live only while
+// it carries the table's current generation, so reset empties the table
+// without clearing it, and a warm table allocates nothing.
+type keyTable struct {
+	slots []keySlot
+	shift uint8 // 64 − log2(len(slots))
+	gen   uint32
+	n     int32 // live keys, which hold ids 0..n-1
+}
+
+type keySlot struct {
+	hash uint64
+	id   int32
+	gen  uint32
+}
+
+// reset empties the table.
+func (t *keyTable) reset() {
+	t.n = 0
+	t.gen++
+	if t.gen == 0 { // wrapped: every stale slot would read as live
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// slot returns the index of h's slot, or of the empty slot h would take.
+// The table must be non-empty.
+func (t *keyTable) slot(h uint64) int {
+	mask := len(t.slots) - 1
+	i := int(h * 0x9e3779b97f4a7c15 >> t.shift)
+	for t.slots[i].gen == t.gen && t.slots[i].hash != h {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// lookup returns the key id of h, if it has one.
+func (t *keyTable) lookup(h uint64) (int32, bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	s := &t.slots[t.slot(h)]
+	return s.id, s.gen == t.gen
+}
+
+// add returns the key id of h, assigning the next one on first sight.
+func (t *keyTable) add(h uint64) int32 {
+	if 2*(int(t.n)+1) > len(t.slots) {
+		t.grow()
+	}
+	i := t.slot(h)
+	if s := &t.slots[i]; s.gen == t.gen {
+		return s.id
+	}
+	t.slots[i] = keySlot{h, t.n, t.gen}
+	t.n++
+	return t.n - 1
+}
+
+// grow doubles the table, to 64 slots at least, and re-places its keys.
+func (t *keyTable) grow() {
+	old, gen := t.slots, t.gen
+	t.slots = make([]keySlot, max(64, 2*len(old)))
+	t.shift = uint8(64 - bits.TrailingZeros(uint(len(t.slots))))
+	t.gen = 1
+	for _, s := range old {
+		if s.gen == gen {
+			t.slots[t.slot(s.hash)] = keySlot{s.hash, s.id, 1}
+		}
+	}
+}
+
+// mark sets in cand the bit of every indexed label that holds the hash h.
+// keys is the table build used.
+func (x *gramIndex) mark(keys *keyTable, h uint64, cand []uint64) {
+	if k, ok := keys.lookup(h); ok && int(k)+1 < len(x.off) {
+		for _, p := range x.post[x.off[k]:x.off[k+1]] {
+			cand[p.label>>6] |= 1 << (p.label & 63)
+		}
 	}
 }
 

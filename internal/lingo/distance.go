@@ -110,6 +110,56 @@ func jaroWinklerRunes(ra, rb []rune) float64 {
 	return j + float64(prefix)*0.1*(1-j)
 }
 
+// jwBoundSlack covers the rounding of the Winkler step when
+// jaroWinklerBound applies it to the Jaro bound instead of the Jaro value
+// (see jaroWinklerBound).
+const jwBoundSlack = 1e-12
+
+// jaroWinklerBound returns an upper bound on jaroWinklerRunes(ra, rb), or
+// false when either side holds a rune of 128 or above. Jaro's match count
+// m is at most M, the size of the two sides' common rune multiset, and
+// its (m−t)/m term is at most 1, so with the common prefix p of
+// jaroWinklerRunes the result is at most jb + p·0.1·(1−jb), where
+// jb = (M/|a| + M/|b| + 1)/3.
+//
+// The bound holds for jaroRunes' float expressions, not just for their
+// real values. jb evaluates the Jaro expression's operations in the same
+// order on operands that are each at least as large, and division,
+// addition and /3 round monotonically, so jb is at least the Jaro value.
+// The Winkler step j + p·0.1·(1−j) increases with j in real arithmetic
+// but need not in floats: each of its operations, fused or not, is within
+// a relative 2⁻⁵³ of its exact result on operands below 2, so the
+// evaluated step is within 1e-15 of its real value and slackening the
+// bound by jwBoundSlack keeps it above the evaluated Jaro-Winkler value.
+// Both sides are non-empty.
+func jaroWinklerBound(ra, rb []rune) (float64, bool) {
+	var count [128]int32
+	for _, r := range ra {
+		if uint32(r) >= 128 {
+			return 0, false
+		}
+		count[r]++
+	}
+	common := 0
+	for _, r := range rb {
+		if uint32(r) >= 128 {
+			return 0, false
+		}
+		if count[r] > 0 {
+			count[r]--
+			common++
+		}
+	}
+	prefix := 0
+	n := min(len(ra), len(rb), 4)
+	for prefix < n && ra[prefix] == rb[prefix] {
+		prefix++
+	}
+	m := float64(common)
+	jb := (m/float64(len(ra)) + m/float64(len(rb)) + 1) / 3
+	return jb + float64(prefix)*0.1*(1-jb) + jwBoundSlack, true
+}
+
 // diceSortedBounded returns the multiset Dice coefficient 2·common/(|ga|+|gb|)
 // of two sorted gram-hash multisets by a linear merge, with an early exit:
 // when even matching every remaining hash could not lift the Dice value to
@@ -156,7 +206,7 @@ func ngramHashesRunes(buf []uint64, r []rune, n int) []uint64 {
 	}
 	total := len(r) + n - 1 // windows including boundary padding
 	for w := 0; w < total; w++ {
-		h := uint64(14695981039346656037)
+		h := uint64(fnvOffset)
 		for k := 0; k < n; k++ {
 			idx := w + k - (n - 1)
 			var c rune
@@ -168,7 +218,7 @@ func ngramHashesRunes(buf []uint64, r []rune, n int) []uint64 {
 			default:
 				c = r[idx]
 			}
-			h = (h ^ uint64(c)) * 1099511628211
+			h = (h ^ uint64(c)) * fnvPrime
 		}
 		buf = append(buf, h)
 	}

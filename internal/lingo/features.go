@@ -32,6 +32,15 @@ type LabelFeatures struct {
 	// thesaurus edge. Unless both sides are known, the whole-label
 	// thesaurus lookup is provably RelNone and is skipped.
 	known bool
+	// forms hashes sing, Norm and, when toks has two or more, the first
+	// bytes of toks (the acronym abbrevMatch tests), indexed by formSing,
+	// formNorm and formAcro: KernelScorer's candidate generators join
+	// labels on them.
+	forms [3]uint64
+	// mask has bit b&63 set for every byte b of Norm, and irreg records
+	// that Norm is a key of the irregular shortening table.
+	mask  uint64
+	irreg bool
 }
 
 // tokenFeat is the per-token analogue of LabelFeatures, indexed by the
@@ -72,7 +81,43 @@ func (m *NameMatcher) buildFeatures(label string) *LabelFeatures {
 		f.ids[i] = m.intern(t)
 	}
 	f.known = m.Thesaurus.KnownNormalized(n)
+	f.forms[formSing], f.forms[formNorm] = formKey(f.sing), formKey(n)
+	if len(f.toks) >= 2 {
+		f.forms[formAcro] = fnvOffset
+		for _, t := range f.toks {
+			f.forms[formAcro] = fnvByte(f.forms[formAcro], t[0])
+		}
+	}
+	for i := 0; i < len(n); i++ {
+		f.mask |= 1 << (n[i] & 63)
+	}
+	_, f.irreg = irregular[n]
 	return f
+}
+
+// The entries of LabelFeatures.forms.
+const (
+	formSing = iota
+	formNorm
+	formAcro
+)
+
+// The FNV-1a hash parameters, shared with the trigram hashes.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvByte folds one byte into an FNV-1a hash.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+// formKey returns the FNV-1a hash of a label form's bytes.
+func formKey(s string) uint64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
 }
 
 // MatchFeatures is Match over prebuilt feature vectors: the same decision
@@ -144,9 +189,15 @@ func simAtLeast(ra, rb []rune, ga, gb []uint64) (float64, bool) {
 }
 
 // simFromDice is simAtLeast given the exact trigram Dice tg of the two
-// strings.
+// strings. Jaro-Winkler runs only when its upper bound cannot already
+// prove the value below the floor: the bound ub is at least jw, and float
+// addition and division round monotonically, so ub < 0.5 or
+// (ub+tg)/2 < floor rejects every pair the full computation would.
 func simFromDice(ra, rb []rune, tg float64) (float64, bool) {
 	if (1+tg)/2 < StringSimFloor {
+		return 0, false
+	}
+	if ub, ok := jaroWinklerBound(ra, rb); ok && (ub < 0.5 || (ub+tg)/2 < StringSimFloor) {
 		return 0, false
 	}
 	jw := jaroWinklerRunes(ra, rb)

@@ -274,7 +274,7 @@ func fuzzVocabulary(text string, pick uint64) []string {
 // exact flag both, and checks that the coverage bitsets mark exactly the
 // token pairs that score above zero. The scorer is built over buffers a
 // scorer of other vocabularies used and released, and its rows go through
-// stale overlap scratch. The thesaurus is the built-in one or, to let the
+// row scratch pre-filled with garbage. The thesaurus is the built-in one or, to let the
 // structural acronym and abbreviation tests decide, an empty one.
 func FuzzKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, srcText, tgtText string, pick uint64, builtin bool) {
@@ -292,16 +292,23 @@ func FuzzKernel(f *testing.F) {
 		warm.NewKernelScorer(tgt, other, nil).Release()
 		ks := warm.NewKernelScorer(src, tgt, nil)
 		defer ks.Release()
-		common := make([]int32, len(tgt))
-		for j := range common {
-			common[j] = int32(j) - 3
+		sc := &RowScratch{
+			common: make([]int32, len(tgt)),
+			cand:   make([]uint64, (len(tgt)+63)/64),
+			cov:    make([]uint64, (len(tgt)+63)/64),
+		}
+		for j := range sc.common {
+			sc.common[j] = int32(j) - 3
+		}
+		for w := range sc.cand {
+			sc.cand[w], sc.cov[w] = 0x5555555555555555, 0xaaaaaaaaaaaaaaaa
 		}
 		scores, kinds := make([]float64, len(tgt)), make([]Kind, len(tgt))
 		for i, a := range src {
 			clear(scores)
 			clear(kinds)
 			last := int32(-1)
-			ks.ScoreRow(int32(i), common, func(j int32, s float64, k Kind) {
+			ks.ScoreRow(int32(i), sc, func(j int32, s float64, k Kind) {
 				if j <= last || k == None {
 					t.Fatalf("row %q: emit(%d, %v, %v) after target %d", a, j, s, k, last)
 				}

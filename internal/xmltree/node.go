@@ -149,9 +149,13 @@ func (n *Node) Walk(visit func(*Node) bool) {
 	}
 }
 
-// Nodes returns every node of the subtree rooted at n in pre-order.
+// Nodes returns every node of the subtree rooted at n in pre-order, in a
+// slice of exactly that length.
 func (n *Node) Nodes() []*Node {
-	var out []*Node
+	if n == nil {
+		return nil
+	}
+	out := make([]*Node, 0, n.Size())
 	n.Walk(func(d *Node) bool {
 		out = append(out, d)
 		return true
