@@ -13,11 +13,14 @@
 //	qjobs [-server URL] cancel ID                        cancel / forget a job
 //	qjobs [-server URL] list                             list retained jobs
 //
-// Schema files parse server-side by extension: .xsd (XML Schema), .dtd
-// (DTD), .xml (schema inference); -source-id/-target-id reference schemas
-// already registered with PUT /v1/schemas/{id}. Sources and targets mix
-// freely, and flags repeat: every -source/-source-id adds one grid row,
-// every -target/-target-id one column.
+// Schema files parse server-side in the format their extension names, as
+// qregistry reads them: .xsd (XML Schema), .dtd (DTD), .xml (schema
+// inference), .json (JSON Schema), .sql/.ddl (SQL DDL, database labeled
+// after the file); other extensions are sniffed from the content.
+// -source-id/-target-id reference schemas already registered with PUT
+// /v1/schemas/{id}. Sources and targets mix freely, and flags repeat:
+// every -source/-source-id adds one grid row, every -target/-target-id
+// one column.
 //
 // With -wait, submit polls until the job reaches a terminal state and
 // exits non-zero unless it completed. results writes the NDJSON stream
@@ -38,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"qmatch"
 	"qmatch/internal/jobs"
 	"qmatch/internal/serve"
 )
@@ -137,30 +141,23 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
-// refFlags builds one grid side from interleaved file and registry-id
-// flags. Files ship inline with the format the server infers from the
-// extension qregistry uses.
+// loadRefs builds one grid side from interleaved file and registry-id
+// flags. Files ship inline in the format qmatch.FormatOf gives their
+// extension ("auto" for any other), and a DDL file with its base name as
+// the database label, so a job sees the tree qregistry put registers.
 func loadRefs(files, ids multiFlag) ([]serve.JobSchemaRef, error) {
 	refs := make([]serve.JobSchemaRef, 0, len(files)+len(ids))
 	for _, path := range files {
-		var format string
-		switch strings.ToLower(filepath.Ext(path)) {
-		case ".xsd":
-			format = "xsd"
-		case ".dtd":
-			format = "dtd"
-		case ".xml":
-			format = "xml"
-		default:
-			return nil, fmt.Errorf("%s: unknown schema extension (want .xsd, .dtd or .xml)", path)
-		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		refs = append(refs, serve.JobSchemaRef{
-			Schema: &serve.SchemaInput{Format: format, Data: string(data)},
-		})
+		in := &serve.SchemaInput{Format: string(qmatch.FormatOf(path)), Data: string(data)}
+		if in.Format == string(qmatch.FormatDDL) {
+			base := filepath.Base(path)
+			in.Root = strings.TrimSuffix(base, filepath.Ext(base))
+		}
+		refs = append(refs, serve.JobSchemaRef{Schema: in})
 	}
 	for _, id := range ids {
 		refs = append(refs, serve.JobSchemaRef{ID: id})

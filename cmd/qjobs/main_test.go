@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"qmatch"
 	"qmatch/internal/serve"
 )
 
@@ -155,5 +156,60 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := run([]string{"-server", ts.URL, "status", "missing"}, &strings.Builder{}); err == nil {
 		t.Fatal("status of unknown job: want error")
+	}
+}
+
+// Files ship in every format qregistry reads: a JSON Schema source and a
+// DDL target give the report Engine.Match gives over LoadSchema of the
+// same two files, the DDL database labeled after the file.
+func TestSubmitFilesInEveryFormat(t *testing.T) {
+	_, ts := startServer(t)
+	dir := t.TempDir()
+	src := writeSchema(t, dir, "po.json", `{"title": "PurchaseOrder", "type": "object",
+  "required": ["OrderNo"],
+  "properties": {"OrderNo": {"type": "integer"}, "DeliverTo": {"type": "string"}}}`)
+	tgt := writeSchema(t, dir, "orders.sql",
+		"CREATE TABLE PurchaseOrders (OrderNo INT PRIMARY KEY, DeliverTo VARCHAR(200));")
+
+	var out strings.Builder
+	err := run([]string{"-server", ts.URL, "submit", "-source", src, "-target", tgt, "-wait", "-poll", "10ms"}, &out)
+	if err != nil {
+		t.Fatalf("submit -wait: %v\n%s", err, out.String())
+	}
+	id := strings.Fields(strings.TrimSpace(out.String()))[0]
+	var res strings.Builder
+	if err := run([]string{"-server", ts.URL, "results", id}, &res); err != nil {
+		t.Fatalf("results: %v", err)
+	}
+	var line serve.JobResultLine
+	if err := json.Unmarshal([]byte(strings.SplitN(res.String(), "\n", 2)[0]), &line); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, line.Report); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := qmatch.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	source, err := qmatch.LoadSchema(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := qmatch.LoadSchema(tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report, want bytes.Buffer
+	if err := eng.Match(source, target).WriteJSON(&report); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&want, report.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("job report differs from Engine.Match over LoadSchema\njob:  %s\nwant: %s", got.String(), want.String())
 	}
 }

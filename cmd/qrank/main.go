@@ -33,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"qmatch"
 )
@@ -81,7 +80,7 @@ func run(args []string, out io.Writer) error {
 	for _, p := range paths {
 		s, err := qmatch.LoadSchema(p)
 		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
+			return err
 		}
 		corpus = append(corpus, s)
 		names = append(names, p)
@@ -148,8 +147,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// collectSchemas lists the schema files under root, sorted for
-// determinism.
+// collectSchemas lists the files under root whose extension names a
+// schema format (qmatch.FormatOf), sorted for determinism.
 func collectSchemas(root string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -159,8 +158,7 @@ func collectSchemas(root string) ([]string, error) {
 		if d.IsDir() {
 			return nil
 		}
-		switch strings.ToLower(filepath.Ext(path)) {
-		case ".xsd", ".dtd", ".xml", ".json", ".sql", ".ddl":
+		if qmatch.FormatOf(path) != qmatch.FormatAuto {
 			out = append(out, path)
 		}
 		return nil

@@ -1,6 +1,7 @@
 package qmatch_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,13 @@ import (
 	"time"
 
 	"qmatch"
+	"qmatch/internal/dataset"
+	"qmatch/internal/ddl"
+	"qmatch/internal/dtd"
+	"qmatch/internal/infer"
+	"qmatch/internal/jsonschema"
+	"qmatch/internal/xmltree"
+	"qmatch/internal/xsd"
 )
 
 const bookDTD = `
@@ -111,10 +119,33 @@ func TestLoadSchemaByExtension(t *testing.T) {
 	}
 }
 
+// Every LoadSchema error names the file exactly once: a missing file, a
+// malformed file of each extension, and junk under an unknown extension.
 func TestLoadSchemaMissingFiles(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
 	for _, name := range []string{"a.dtd", "a.xml", "a.xsd", "a.json", "a.sql"} {
-		if _, err := qmatch.LoadSchema(filepath.Join(t.TempDir(), name)); err == nil {
-			t.Errorf("%s: missing file accepted", name)
+		paths = append(paths, filepath.Join(dir, "missing", name))
+	}
+	for name, data := range map[string]string{
+		"bad.xsd": "<unclosed", "bad.dtd": "<unclosed", "bad.xml": "<unclosed",
+		"bad.json": "<unclosed", "bad.sql": "<unclosed", "bad.ddl": "<unclosed",
+		"junk.txt": "not a schema",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	for _, path := range paths {
+		_, err := qmatch.LoadSchema(path)
+		if err == nil {
+			t.Errorf("%s: accepted", path)
+			continue
+		}
+		if n := strings.Count(err.Error(), path); n != 1 {
+			t.Errorf("%s: error names the file %d times: %v", path, n, err)
 		}
 	}
 }
@@ -196,6 +227,29 @@ func TestHeterogeneousFormatMatching(t *testing.T) {
 	}
 }
 
+// doctypeXSD opens with a DOCTYPE, as the W3C's XMLSchema.xsd does. Its
+// internal subset holds a '>' inside an entity value and an apostrophe
+// in a comment, and neither may end the declaration.
+const doctypeXSD = `<?xml version="1.0"?>
+<!DOCTYPE xs:schema PUBLIC "-//W3C//DTD XMLSCHEMA 200102//EN" "XMLSchema.dtd" [
+<!-- the schema's own entities -->
+<!ENTITY arrow "->">
+<!ATTLIST xs:schema id ID #IMPLIED>
+]>
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="Book">
+    <xs:complexType><xs:sequence>
+      <xs:element name="Title" type="xs:string"/>
+      <xs:element name="Year" type="xs:gYear"/>
+    </xs:sequence></xs:complexType>
+  </xs:element>
+</xs:schema>`
+
+// doctypeXML is an instance document with a SYSTEM DOCTYPE.
+const doctypeXML = `<?xml version="1.0"?>
+<!DOCTYPE note SYSTEM "note.dtd">
+<note><to>Tove</to><from>Jani</from></note>`
+
 func TestDetectFormat(t *testing.T) {
 	cases := []struct {
 		name, input string
@@ -211,6 +265,8 @@ func TestDetectFormat(t *testing.T) {
 		{"xml with declaration", `<?xml version="1.0"?><Book/>`, qmatch.FormatXML},
 		{"ddl", bookDDL, qmatch.FormatDDL},
 		{"ddl after comment", "-- schema\n/* x */ create table t (a int);", qmatch.FormatDDL},
+		{"xsd after doctype", doctypeXSD, qmatch.FormatXSD},
+		{"xml after doctype", doctypeXML, qmatch.FormatXML},
 	}
 	for _, tc := range cases {
 		got, err := qmatch.DetectFormat([]byte(tc.input))
@@ -221,7 +277,7 @@ func TestDetectFormat(t *testing.T) {
 }
 
 func TestDetectFormatUnknown(t *testing.T) {
-	for _, input := range []string{"", "   ", "SELECT 1;", "garbage input here", "-- only a comment"} {
+	for _, input := range []string{"", "   ", "SELECT 1;", "garbage input here", "-- only a comment", "<!DOCTYPE a [<!ENTITY b '>'>"} {
 		_, err := qmatch.DetectFormat([]byte(input))
 		if err == nil {
 			t.Errorf("%q: no error", input)
@@ -248,6 +304,8 @@ func TestParseAuto(t *testing.T) {
 		bookDTD:        qmatch.FormatDTD,
 		bookDDL:        qmatch.FormatDDL,
 		bookXML:        qmatch.FormatXML,
+		doctypeXSD:     qmatch.FormatXSD,
+		doctypeXML:     qmatch.FormatXML,
 	} {
 		s, format, err := qmatch.ParseAuto([]byte(input))
 		if err != nil || format != want {
@@ -260,6 +318,103 @@ func TestParseAuto(t *testing.T) {
 	}
 	if _, _, err := qmatch.ParseAuto([]byte("no schema here")); !errors.Is(err, qmatch.ErrUnknownFormat) {
 		t.Fatalf("ParseAuto on junk: %v", err)
+	}
+}
+
+// Parse is the one route from a format name to a front end: every name,
+// alias and "auto", in any case, builds the tree the front end builds
+// when called directly, and LoadSchema reads each extension as Parse
+// reads the format FormatOf names.
+func TestParseRouting(t *testing.T) {
+	type doc struct {
+		format     qmatch.Format
+		names      []qmatch.Format
+		data, root string
+		direct     func(data, root string) (*xmltree.Node, error)
+		ext        string
+	}
+	xsdDoc := func(name string) doc {
+		tree, err := dataset.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc{qmatch.FormatXSD, []qmatch.Format{"", "xsd", "XSD"}, xsd.Render(tree), "",
+			func(data, _ string) (*xmltree.Node, error) { return xsd.ParseString(data) }, ".xsd"}
+	}
+	registryDoc := func(file string) (data, root string) {
+		raw, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var put struct{ Schema struct{ Data, Root string } }
+		if err := json.Unmarshal(raw, &put); err != nil {
+			t.Fatal(err)
+		}
+		return put.Schema.Data, put.Schema.Root
+	}
+	jsData, _ := registryDoc("registry_put_po_jsonschema.json")
+	ddlData, ddlRoot := registryDoc("registry_put_po_ddl.json")
+	docs := []doc{
+		xsdDoc("PO1"), xsdDoc("Book"), xsdDoc("DCMDOrd"),
+		{qmatch.FormatDTD, []qmatch.Format{"dtd", "DTD"}, bookDTD, "", dtd.ParseString, ".dtd"},
+		{qmatch.FormatXML, []qmatch.Format{"xml", "XML"}, bookXML, "",
+			func(data, _ string) (*xmltree.Node, error) { return infer.InferString(data) }, ".xml"},
+		{qmatch.FormatJSONSchema, []qmatch.Format{"jsonschema", "JSONSCHEMA", "json", "JSON"}, jsData, "",
+			func(data, _ string) (*xmltree.Node, error) { return jsonschema.ParseString(data) }, ".json"},
+		{qmatch.FormatDDL, []qmatch.Format{"ddl", "DDL", "sql", "SQL"}, ddlData, ddlRoot, ddl.ParseString, ".sql"},
+	}
+	dir := t.TempDir()
+	for i, d := range docs {
+		want, err := d.direct(d.data, d.root)
+		if err != nil {
+			t.Fatalf("%s %d: direct parse: %v", d.format, i, err)
+		}
+		for _, name := range append(d.names, "auto", "AUTO") {
+			s, got, err := qmatch.Parse(d.data, name, d.root)
+			if err != nil || got != d.format {
+				t.Errorf("%s %d: Parse as %q: format %q, err %v", d.format, i, name, got, err)
+				continue
+			}
+			if !xmltree.Equal(s.Tree(), want) {
+				t.Errorf("%s %d: Parse as %q built another tree:\n%s\nwant:\n%s", d.format, i, name, s.Dump(), want.Dump())
+			}
+		}
+
+		for _, ext := range []string{d.ext, strings.ToUpper(d.ext), ".schema"} {
+			path := filepath.Join(dir, fmt.Sprintf("doc%d%s", i, ext))
+			if err := os.WriteFile(path, []byte(d.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			root := ""
+			if qmatch.FormatOf(path) == qmatch.FormatDDL {
+				root = fmt.Sprintf("doc%d", i)
+			}
+			loaded, err := qmatch.LoadSchema(path)
+			if err != nil {
+				t.Fatalf("LoadSchema(%s): %v", path, err)
+			}
+			parsed, _, err := qmatch.Parse(d.data, qmatch.FormatOf(path), root)
+			if err != nil {
+				t.Fatalf("Parse as %q: %v", qmatch.FormatOf(path), err)
+			}
+			if !xmltree.Equal(loaded.Tree(), parsed.Tree()) {
+				t.Errorf("LoadSchema(%s) differs from Parse as %q", path, qmatch.FormatOf(path))
+			}
+		}
+	}
+
+	// An explicit format never sniffs: a DTD sent as xsd fails in the XSD
+	// decoder.
+	_, wantErr := xsd.ParseString(bookDTD)
+	if _, _, err := qmatch.Parse(bookDTD, qmatch.FormatXSD, ""); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Errorf("DTD as xsd: error %v, want the XSD decoder's %v", err, wantErr)
+	}
+	_, _, err := qmatch.Parse(bookXML, "yaml", "")
+	if !errors.Is(err, qmatch.ErrUnknownFormat) {
+		t.Fatalf("format yaml: error %v does not match ErrUnknownFormat", err)
+	}
+	if !strings.Contains(err.Error(), "xsd, dtd, xml, jsonschema, ddl or auto") {
+		t.Errorf("format yaml: error %q does not list the formats", err)
 	}
 }
 

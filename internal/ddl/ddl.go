@@ -28,23 +28,13 @@ package ddl
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"qmatch/internal/xmltree"
 )
 
-// Parse reads DDL statements and returns the database tree labeled name
-// (falling back to "db").
-func Parse(r io.Reader, name string) (*xmltree.Node, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ddl: read: %w", err)
-	}
-	return ParseString(string(data), name)
-}
-
-// ParseString is Parse over a string.
+// ParseString parses DDL statements and returns the database tree labeled
+// name (falling back to "db").
 func ParseString(src, name string) (*xmltree.Node, error) {
 	if name == "" {
 		name = "db"

@@ -16,7 +16,6 @@ package dtd
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"qmatch/internal/xmltree"
@@ -47,17 +46,8 @@ type particle struct {
 	min, max int         // occurrence from ? * + (default 1,1)
 }
 
-// Parse reads a DTD and returns the schema tree rooted at root. If root is
-// empty, the first declared element is used.
-func Parse(r io.Reader, root string) (*xmltree.Node, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("dtd: read: %w", err)
-	}
-	return ParseString(string(data), root)
-}
-
-// ParseString is Parse over a string.
+// ParseString parses a DTD and returns the schema tree rooted at root. If
+// root is empty, the first declared element is used.
 func ParseString(src, root string) (*xmltree.Node, error) {
 	p := &parser{src: src}
 	elements, attrs, first, err := p.declarations()

@@ -1,7 +1,6 @@
 package dtd
 
 import (
-	"strings"
 	"testing"
 
 	"qmatch/internal/xmltree"
@@ -222,7 +221,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseReader(t *testing.T) {
-	root, err := Parse(strings.NewReader(poDTD), "")
+	root, err := ParseString(poDTD, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,20 +26,16 @@ type docNode struct {
 	text     strings.Builder
 }
 
-// Infer reads an XML document and returns the inferred schema tree.
-func Infer(r io.Reader) (*xmltree.Node, error) {
-	root, err := parseDoc(r)
+// InferString parses an XML document and returns the inferred schema
+// tree.
+func InferString(s string) (*xmltree.Node, error) {
+	root, err := parseDoc(strings.NewReader(s))
 	if err != nil {
 		return nil, err
 	}
 	node := inferElement([]*docNode{root})
 	node.Props.MinOccurs, node.Props.MaxOccurs, node.Props.Order = 1, 1, 1
 	return node, nil
-}
-
-// InferString is Infer over a string.
-func InferString(s string) (*xmltree.Node, error) {
-	return Infer(strings.NewReader(s))
 }
 
 func parseDoc(r io.Reader) (*docNode, error) {

@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"strings"
 	"testing"
 
 	"qmatch/internal/xmltree"
@@ -168,7 +167,7 @@ func TestInferErrors(t *testing.T) {
 }
 
 func TestInferReader(t *testing.T) {
-	root, err := Infer(strings.NewReader(`<R><A>x</A></R>`))
+	root, err := InferString(`<R><A>x</A></R>`)
 	if err != nil {
 		t.Fatal(err)
 	}

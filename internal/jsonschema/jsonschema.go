@@ -67,10 +67,10 @@ func (v *value) get(key string) *value {
 	return nil
 }
 
-// Parse reads a JSON Schema document and returns its schema tree. The
-// root label is the schema's "title" (falling back to "schema").
-func Parse(r io.Reader) (*xmltree.Node, error) {
-	dec := json.NewDecoder(r)
+// ParseString parses a JSON Schema document and returns its schema tree.
+// The root label is the schema's "title" (falling back to "schema").
+func ParseString(s string) (*xmltree.Node, error) {
+	dec := json.NewDecoder(strings.NewReader(s))
 	dec.UseNumber()
 	doc, err := parseValue(dec, 0)
 	if err != nil {
@@ -93,11 +93,6 @@ func Parse(r io.Reader) (*xmltree.Node, error) {
 		return nil, err
 	}
 	return node, nil
-}
-
-// ParseString is Parse over a string.
-func ParseString(s string) (*xmltree.Node, error) {
-	return Parse(strings.NewReader(s))
 }
 
 // parseValue reads one JSON value off the decoder into the ordered model.

@@ -120,8 +120,9 @@ func TestAutoFormatJunk400(t *testing.T) {
 	}
 }
 
-// Every format value the SchemaInput doc promises parses its example;
-// the rejection message for the rest enumerates the accepted set.
+// Every format value the SchemaInput doc promises parses its example,
+// and "auto" tells an XSD by its root tag past a DOCTYPE; the rejection
+// message for the rest enumerates the accepted set.
 func TestSchemaInputFormats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	inputs := []SchemaInput{
@@ -129,6 +130,7 @@ func TestSchemaInputFormats(t *testing.T) {
 		{Format: "json", Data: poJSONSchema},
 		{Format: "ddl", Data: poDDL},
 		{Format: "sql", Data: poDDL, Root: "orderdb"},
+		{Format: "auto", Data: "<!DOCTYPE xs:schema [<!ENTITY arrow \"->\">]>\n" + poSourceXSD},
 	}
 	for _, in := range inputs {
 		req := MatchRequest{Source: &in, Target: &SchemaInput{Data: poTargetXSD}}

@@ -20,7 +20,8 @@ import (
 
 // SchemaInput is one schema shipped inside a request body.
 type SchemaInput struct {
-	// Format selects the parser: "xsd" (default), "dtd", "xml" (schema
+	// Format selects the parser. It accepts any name qmatch.Parse
+	// accepts, in any case: "xsd" (the default), "dtd", "xml" (schema
 	// inference from an instance document), "jsonschema" (alias
 	// "json"), "ddl" (alias "sql"), or "auto" (content sniffing via
 	// qmatch.DetectFormat).
@@ -40,53 +41,17 @@ type SchemaInput struct {
 func (in *SchemaInput) parse(ctx context.Context, role string) (*qmatch.Schema, error) {
 	sp := obs.TraceFromContext(ctx).StartSpan(obs.PhaseParse)
 	defer sp.End()
-	s, err := in.parseFormat(role)
+	if in == nil || in.Data == "" {
+		return nil, fmt.Errorf("missing %s schema data", role)
+	}
+	s, _, err := qmatch.Parse(in.Data, qmatch.Format(in.Format), in.Root)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", role, err)
 	}
 	if strings.HasPrefix(role, "target") || strings.HasPrefix(role, "corpus") {
 		sp.SetNodes(0, s.Size())
 	} else {
 		sp.SetNodes(s.Size(), 0)
-	}
-	return s, nil
-}
-
-func (in *SchemaInput) parseFormat(role string) (*qmatch.Schema, error) {
-	if in == nil || in.Data == "" {
-		return nil, fmt.Errorf("missing %s schema data", role)
-	}
-	var (
-		s   *qmatch.Schema
-		err error
-	)
-	switch strings.ToLower(in.Format) {
-	case "", "xsd":
-		s, err = qmatch.ParseSchemaString(in.Data)
-	case "dtd":
-		s, err = qmatch.ParseDTDString(in.Data, in.Root)
-	case "xml":
-		s, err = qmatch.InferSchemaString(in.Data)
-	case "jsonschema", "json":
-		s, err = qmatch.ParseJSONSchemaString(in.Data)
-	case "ddl", "sql":
-		s, err = qmatch.ParseDDLString(in.Data, in.Root)
-	case "auto":
-		// Unrecognized content surfaces qmatch.ErrUnknownFormat with
-		// the sniffed prefix — the 400 body names what was seen.
-		var format qmatch.Format
-		format, err = qmatch.DetectFormat([]byte(in.Data))
-		if err == nil && (format == qmatch.FormatDTD || format == qmatch.FormatDDL) {
-			return (&SchemaInput{Format: string(format), Data: in.Data, Root: in.Root}).parseFormat(role)
-		}
-		if err == nil {
-			return (&SchemaInput{Format: string(format), Data: in.Data}).parseFormat(role)
-		}
-	default:
-		return nil, fmt.Errorf("%s: unknown schema format %q (want xsd, dtd, xml, jsonschema, ddl or auto)", role, in.Format)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", role, err)
 	}
 	return s, nil
 }

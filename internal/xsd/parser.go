@@ -17,7 +17,6 @@ package xsd
 import (
 	"encoding/xml"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -139,41 +138,21 @@ type xsdAttribute struct {
 	Default string `xml:"default,attr"`
 }
 
-// Parse reads r to EOF and parses the document as ParseString does. The
-// decoder works on the whole document, which callers already hold:
-// qmatchd caps request bodies at 4 MiB and the CLIs read files whole.
-func Parse(r io.Reader) (*xmltree.Node, error) {
-	roots, err := ParseAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return roots[0], nil
-}
-
 // ParseString parses an XSD document and returns the schema tree rooted at
 // its first global element declaration.
 func ParseString(s string) (*xmltree.Node, error) {
-	roots, err := parseAll(s)
+	roots, err := ParseAll(s)
 	if err != nil {
 		return nil, err
 	}
 	return roots[0], nil
 }
 
-// ParseAll reads r to EOF, as Parse does, and returns one schema tree per
-// global element declaration of the document, in document order. It
-// returns an error for malformed XML, for elements nested deeper than
-// 4,096, for schemas with no global element, and for dangling element or
-// attribute references.
-func ParseAll(r io.Reader) ([]*xmltree.Node, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("xsd: read: %w", err)
-	}
-	return parseAll(string(b))
-}
-
-func parseAll(s string) ([]*xmltree.Node, error) {
+// ParseAll parses an XSD document and returns one schema tree per global
+// element declaration, in document order. It returns an error for
+// malformed XML, for elements nested deeper than 4,096, for schemas with
+// no global element, and for dangling element or attribute references.
+func ParseAll(s string) ([]*xmltree.Node, error) {
 	doc, err := decode(s)
 	if err != nil {
 		return nil, err

@@ -96,7 +96,7 @@ func TestParseNamedTypesAndRefs(t *testing.T) {
 	  </simpleType>
 	  <attribute name="version" type="string" use="optional"/>
 	</schema>`
-	roots, err := ParseAll(strings.NewReader(src))
+	roots, err := ParseAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestParseSimpleAndComplexContent(t *testing.T) {
 	    </xs:complexContent>
 	  </xs:complexType>
 	</xs:schema>`
-	roots, err := ParseAll(strings.NewReader(src))
+	roots, err := ParseAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}

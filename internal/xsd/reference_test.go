@@ -73,7 +73,7 @@ func (g *xsdGroup) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 // maxDepth only ParseAll must reject.
 func checkAgainstReference(t *testing.T, data string) (roots []*xmltree.Node) {
 	t.Helper()
-	roots, err := parseAll(data)
+	roots, err := ParseAll(data)
 	want, refErr := referenceParseAll(data)
 	switch {
 	case errors.Is(err, errTooDeep):

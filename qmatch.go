@@ -19,8 +19,6 @@ package qmatch
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"qmatch/internal/core"
 	"qmatch/internal/linguistic"
@@ -35,34 +33,13 @@ type Schema struct {
 	root *xmltree.Node
 }
 
-// ParseSchema reads an XML Schema document and returns the schema rooted at
-// its first global element declaration.
-func ParseSchema(r io.Reader) (*Schema, error) {
-	root, err := xsd.Parse(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Schema{root: root}, nil
-}
+// ParseSchemaString reads an XML Schema document and returns the schema
+// rooted at its first global element declaration.
+func ParseSchemaString(s string) (*Schema, error) { return schemaOf(Parse(s, FormatXSD, "")) }
 
-// ParseSchemaString is ParseSchema over a string.
-func ParseSchemaString(s string) (*Schema, error) {
-	root, err := xsd.ParseString(s)
-	if err != nil {
-		return nil, err
-	}
-	return &Schema{root: root}, nil
-}
-
-// ParseSchemaFile is ParseSchema over a file path.
-func ParseSchemaFile(path string) (*Schema, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("qmatch: %w", err)
-	}
-	defer f.Close()
-	return ParseSchema(f)
-}
+// ParseSchemaFile is ParseSchemaString over a file path; its errors name
+// the file.
+func ParseSchemaFile(path string) (*Schema, error) { return loadSchema(path, FormatXSD) }
 
 // Name returns the label of the schema's root element.
 func (s *Schema) Name() string { return s.root.Label }
